@@ -1,5 +1,7 @@
 """End-to-end receiver tests (repro.dsp.receiver)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 
 
 def _loopback(rate, psdu, pad=200, snr_db=None, cfo_hz=0.0, rx_config=None, seed=0):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20261039)
     wave = Transmitter(TxConfig(rate_mbps=rate)).transmit(psdu)
     samples = np.concatenate(
         [np.zeros(pad, complex), wave, np.zeros(120, complex)]
@@ -153,3 +155,115 @@ class TestFailureModes:
         result = _loopback(24, psdu)
         assert result.data_symbols is not None
         assert result.data_symbols.shape[1] == 48
+
+
+# ----------------------------------------------------------------------
+# Frozen receiver outcomes
+# ----------------------------------------------------------------------
+
+#: Length of every row of the frozen stack (a 6 Mb/s, 80-byte PPDU is
+#: 2640 samples, so every packet fits unless it is placed to be cut).
+_STACK_SAMPLES = 3200
+_STACK_SNRS_DB = (2.0, 6.0, 10.0, 25.0)
+
+
+def _frozen_stack():
+    """24 faded, CFO-shifted packets at SNR 2/6/10/25 dB, one per row.
+
+    Rates cycle through all eight; every sixth packet is placed so that
+    only its preamble, SIGNAL and a few DATA symbols fit in the row.
+    """
+    rng = np.random.default_rng(20261039)
+    rates = sorted(RATES)
+    rows = np.zeros((24, _STACK_SAMPLES), dtype=complex)
+    for k in range(24):
+        rate = rates[(3 * k) % len(rates)]
+        psdu = random_psdu(int(rng.integers(20, 81)), rng)
+        wave = Transmitter(TxConfig(rate_mbps=rate)).transmit(psdu)
+        taps = np.zeros(5, dtype=complex)
+        taps[0] = 1.0
+        delays = rng.choice(np.arange(1, 5), size=2, replace=False)
+        taps[delays] = 0.9 * rng.random(2) * np.exp(2j * np.pi * rng.random(2))
+        faded = np.convolve(wave, taps / np.linalg.norm(taps))
+        if k % 6 == 5:
+            offset = _STACK_SAMPLES - 560
+        else:
+            offset = int(rng.integers(0, _STACK_SAMPLES - faded.size))
+        end = min(offset + faded.size, _STACK_SAMPLES)
+        rows[k, offset:end] = faded[: end - offset]
+        rows[k] = apply_cfo(rows[k], float(rng.uniform(-150e3, 150e3)))
+        noise_power = 10.0 ** (-_STACK_SNRS_DB[k % 4] / 10.0)
+        rows[k] += np.sqrt(noise_power / 2.0) * (
+            rng.standard_normal(_STACK_SAMPLES)
+            + 1j * rng.standard_normal(_STACK_SAMPLES)
+        )
+    return rows
+
+
+def _result_digest(results) -> str:
+    """sha256 over every field of a list of :class:`RxResult`."""
+    h = hashlib.sha256()
+    for r in results:
+        rate = None if r.rate is None else r.rate.data_rate_mbps
+        h.update(
+            f"{r.success}|{r.failure}|{rate}|{r.length_bytes}|"
+            f"{r.signal_parity_ok}|{r.packet_start}|"
+            f"{r.cfo_hz!r}|{r.noise_var!r}|".encode()
+        )
+        h.update(np.asarray(r.psdu, dtype=np.uint8).tobytes())
+        if r.data_symbols is not None:
+            h.update(np.ascontiguousarray(r.data_symbols).tobytes())
+    return h.hexdigest()[:16]
+
+
+_FULL_GENIE = RxConfig(
+    genie_timing=True, genie_cfo=True, genie_rate_mbps=24,
+    genie_length_bytes=40,
+)
+
+#: Digests recorded from the per-packet receiver before it became a
+#: batch-of-one wrapper over ``receive_batch``.
+FROZEN_RX_DIGESTS = {
+    "default": (RxConfig(), "220cb36e1b7b0859"),
+    "hard": (RxConfig(soft_decision=False), "8ce8d145f67dd2e2"),
+    "mmse": (RxConfig(equalizer="mmse"), "217c38cb5b3b44b9"),
+    "smoothing": (RxConfig(channel_smoothing_taps=8), "d7fd60eb63558284"),
+    "no-csi": (RxConfig(csi_weighting=False), "de506e583483a099"),
+    "full-genie": (_FULL_GENIE, "fc534baf2c528035"),
+    "genie-rate-only": (RxConfig(genie_rate_mbps=24), "c4181a4d21d2b51c"),
+}
+
+
+class TestFrozenOutcomes:
+    """Every RxResult field over a fixed impaired stack, per RxConfig."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return _frozen_stack()
+
+    @pytest.mark.parametrize("variant", sorted(FROZEN_RX_DIGESTS))
+    def test_receive_digest(self, stack, variant):
+        config, digest = FROZEN_RX_DIGESTS[variant]
+        receiver = Receiver(config)
+        results = [receiver.receive(row) for row in stack]
+        assert _result_digest(results) == digest
+
+    @pytest.mark.parametrize("variant", sorted(FROZEN_RX_DIGESTS))
+    def test_receive_batch_digest(self, stack, variant):
+        config, digest = FROZEN_RX_DIGESTS[variant]
+        assert _result_digest(Receiver(config).receive_batch(stack)) == digest
+
+    def test_stack_covers_every_failure(self, stack):
+        failures = {r.failure for r in Receiver().receive_batch(stack)}
+        assert {
+            "", "packet not detected", "invalid SIGNAL rate field",
+            "SIGNAL parity error", "DATA field truncated",
+        } <= failures
+        genie_rate_only = Receiver(RxConfig(genie_rate_mbps=24))
+        assert "genie rate requires genie length" in {
+            r.failure for r in genie_rate_only.receive_batch(stack)
+        }
+
+    def test_receive_rejects_non_1d_input(self, stack):
+        with pytest.raises(ValueError):
+            Receiver().receive(stack[:2])
