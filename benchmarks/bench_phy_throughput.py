@@ -2,10 +2,10 @@
 """Measure batched PHY-engine throughput (packets/s per batch size).
 
 Runs the single-core ``measure_ber`` workload at a fixed SNR for a few
-representative rates, once with the classic per-packet path
-(``batch_size=1``) and once per batched setting, and records packets/s
-plus the speedup over serial.  Every batched run is checked KPI-identical
-to the serial one — the batched engine is a pure throughput
+representative rates, once at ``batch_size=1`` (the same engine run in
+groups of one) and once per larger batch setting, and records packets/s
+plus the speedup over batch 1.  Every batched run is checked
+KPI-identical to the batch-1 one — batching is a pure throughput
 optimization, so any KPI delta is a recording error.
 
 Usage::
@@ -50,8 +50,8 @@ def run_phy_throughput(
     """Measure packets/s per (rate, batch size); return the doc section.
 
     The packet count is rounded up to a multiple of the largest batch so
-    every batched run uses full batches (a ragged tail group would fall
-    back to the scalar path and understate the speedup).  Each timing is
+    every batched run uses full batches (a ragged tail group would run
+    as a smaller batch and understate the speedup).  Each timing is
     the best of ``repeats`` runs — on shared/containerized runners the
     minimum is the standard noise-robust estimator.
     """

@@ -842,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="packets evaluated per stacked PHY-chain pass inside a "
-             "packet chunk (default 1, i.e. the per-packet chain); any "
+             "packet chunk (default 1, i.e. groups of one packet); any "
              "batch size is bit-identical — it only changes throughput",
     )
     parser.add_argument(

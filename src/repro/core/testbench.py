@@ -72,15 +72,15 @@ def _packet_chunk_task(payload):
     Each packet draws its random stream from its own
     :class:`~numpy.random.SeedSequence` child, so the outcome depends
     only on the packet's coordinates — not on which process runs it or
-    how many packets preceded it.  With ``batch_size > 1`` the chunk is
-    evaluated in groups of up to ``batch_size`` packets through the
-    batched PHY chain (:meth:`WlanTestbench.run_packet_batch`), which is
-    bit-identical to the per-packet path.
+    how many packets preceded it.  The chunk runs through
+    :meth:`WlanTestbench.run_packet_batch` in groups of up to
+    ``batch_size`` packets; ``batch_size=1`` is the same engine run in
+    groups of one.
 
     A non-None ``noise_boost_db`` runs the chunk through the
-    importance-sampled channel (``run_packet(noise_boost_db=...)``); at
-    0 dB boost the outcomes — including the random streams — are
-    bit-identical to the plain path and every log weight is exactly 0.
+    importance-sampled channel; at 0 dB boost the outcomes — including
+    the random streams — are bit-identical to the plain path and every
+    log weight is exactly 0.
 
     Returns:
         ``[(bit_errors, n_bits, lost, log_weight), ...]`` per packet,
@@ -88,41 +88,44 @@ def _packet_chunk_task(payload):
     """
     config, seed_children, batch_size, noise_boost_db = payload
     bench = _bench_for_config(config)
-    # The probe tag is the packet's seed coordinates — stable under
-    # any chunking/worker placement, so reservoir sampling keeps the
-    # same IQ points at every job count.
-    tags = [f"{child.entropy}:{child.spawn_key}" for child in seed_children]
     outcomes = []
-    if batch_size > 1:
-        for i in range(0, len(seed_children), batch_size):
-            group = seed_children[i : i + batch_size]
-            group_tags = tags[i : i + batch_size]
-            if len(group) == 1:
-                packet_outcomes = [bench.run_packet(
-                    np.random.default_rng(group[0]), probe_tag=group_tags[0],
-                    noise_boost_db=noise_boost_db,
-                )]
-            else:
-                rngs = [np.random.default_rng(child) for child in group]
-                packet_outcomes = bench.run_packet_batch(
-                    rngs, group_tags, noise_boost_db=noise_boost_db
-                )
-            for outcome in packet_outcomes:
-                outcomes.append(
-                    (outcome.bit_errors, outcome.n_bits, outcome.lost,
-                     outcome.log_weight)
-                )
-    else:
-        for child, tag in zip(seed_children, tags):
-            outcome = bench.run_packet(
-                np.random.default_rng(child), probe_tag=tag,
-                noise_boost_db=noise_boost_db,
-            )
-            outcomes.append(
-                (outcome.bit_errors, outcome.n_bits, outcome.lost,
-                 outcome.log_weight)
-            )
+    for i in range(0, len(seed_children), batch_size):
+        group = seed_children[i : i + batch_size]
+        # The probe tag is the packet's seed coordinates — stable under
+        # any chunking/worker placement, so reservoir sampling keeps the
+        # same IQ points at every job count.
+        packet_outcomes = bench.run_packet_batch(
+            [np.random.default_rng(child) for child in group],
+            [f"{child.entropy}:{child.spawn_key}" for child in group],
+            noise_boost_db=noise_boost_db,
+        )
+        outcomes.extend(
+            (o.bit_errors, o.n_bits, o.lost, o.log_weight)
+            for o in packet_outcomes
+        )
     return outcomes
+
+
+def oversample_factor(config) -> int:
+    """Envelope oversampling factor of a :class:`TestbenchConfig`.
+
+    With an RF front end its decimation fixes the rate.  Without one,
+    the baseband is oversampled to fulfil the sampling theorem once an
+    adjacent channel is present (``2·(|k|+1)`` for the farthest channel
+    offset ``k``, as in the paper), or further when a scenario emitter
+    needs it (:meth:`repro.scenario.Scenario.required_oversample`).
+    """
+    if config.frontend is not None:
+        return config.frontend.decimation
+    oversample = 1
+    if config.interference.sources:
+        max_offset = max(
+            abs(s.offset_channels) for s in config.interference.sources
+        )
+        oversample = 2 * (max_offset + 1)
+    if config.scenario is not None:
+        oversample = max(oversample, config.scenario.required_oversample())
+    return oversample
 
 
 @dataclass
@@ -215,32 +218,18 @@ class WlanTestbench:
 
     def __init__(self, config: TestbenchConfig = TestbenchConfig()):
         self.config = config
-        oversample = 1
-        if config.frontend is not None:
-            oversample = config.frontend.decimation
-            if (
-                config.scenario is not None
-                and config.scenario.max_halfband_hz() > oversample * 10e6
-            ):
-                raise ValueError(
-                    f"the RF front end fixes the envelope rate at "
-                    f"{oversample * 20e6:g} Hz, too narrow for a scenario "
-                    f"emitter needing "
-                    f"{config.scenario.max_halfband_hz():g} Hz half-band"
-                )
-        else:
-            if config.interference.sources:
-                # The paper: the baseband is oversampled to fulfil the
-                # sampling theorem once an adjacent channel is present.
-                max_offset = max(
-                    abs(s.offset_channels)
-                    for s in config.interference.sources
-                )
-                oversample = 2 * (max_offset + 1)
-            if config.scenario is not None:
-                oversample = max(
-                    oversample, config.scenario.required_oversample()
-                )
+        oversample = oversample_factor(config)
+        if (
+            config.frontend is not None
+            and config.scenario is not None
+            and config.scenario.max_halfband_hz() > oversample * 10e6
+        ):
+            raise ValueError(
+                f"the RF front end fixes the envelope rate at "
+                f"{oversample * 20e6:g} Hz, too narrow for a scenario "
+                f"emitter needing "
+                f"{config.scenario.max_halfband_hz():g} Hz half-band"
+            )
         self.oversample = oversample
         self._tx_config = TxConfig(
             rate_mbps=config.rate_mbps, oversample=oversample
@@ -266,44 +255,14 @@ class WlanTestbench:
         probe_tag: str = "pkt",
         noise_boost_db: Optional[float] = None,
     ) -> PacketOutcome:
-        """Send one packet through the complete chain and decode it.
+        """Send one packet through the chain: a batch of one.
 
-        Each stage runs under a ``block:`` span so a traced run yields a
-        per-block time breakdown (``repro profile``); with the default
-        no-op tracer the spans cost nothing.  When the ambient
-        :class:`repro.obs.ProbeRegistry` is enabled, signal taps fire at
-        the stage boundaries (TX output, channel output, every RF
-        front-end stage, equalizer output); the taps never touch the
-        signal or the random streams, so the packet outcome is
-        bit-identical with probes on or off.
-
-        Args:
-            rng: the packet's random stream.
-            probe_tag: stable identity of this packet for probe
-                reservoir sampling (its seed coordinates in parallel
-                runs).
-            noise_boost_db: importance-sampling noise-variance boost
-                (dB) applied to the AWGN proposal; None (and exactly
-                0.0) reproduces the plain channel bit for bit, with a
-                0.0 log weight on the outcome.
+        See :meth:`run_packet_batch`; ``probe_tag`` is the packet's probe
+        identity tag.
         """
-        cfg = self.config
-        probes = obs.get_probes()
-        tx = self._transmitter
-        psdu = random_psdu(cfg.psdu_bytes, rng)
-        with obs.span("block:transmitter", rate_mbps=cfg.rate_mbps) as sp:
-            wave = tx.transmit(psdu)
-            sp.set(samples=wave.size)
-        baseband, log_weight = self._propagate(
-            wave, rng, probes, noise_boost_db=noise_boost_db
-        )
-        with obs.span("block:receiver", samples=baseband.size):
-            result = self._receiver.receive(baseband)
-        tx_symbols = tx.data_symbols(psdu)
-        self._tap_evm(probes, result, tx_symbols, probe_tag)
-        return self._packet_outcome(
-            result, psdu, tx_symbols, log_weight=log_weight
-        )
+        return self.run_packet_batch(
+            [rng], [probe_tag], noise_boost_db=noise_boost_db
+        )[0]
 
     def _propagate(
         self,
@@ -317,8 +276,7 @@ class WlanTestbench:
         Covers everything between the transmitter and receiver spans —
         guard padding, level adaptation, interference/fading/AWGN, the RF
         front end (or the ideal decimator), output normalization and the
-        genie-timing slice — including all the per-packet probe taps, in
-        the exact per-packet order of the scalar chain.
+        genie-timing slice — including all the per-packet probe taps.
 
         Returns ``(baseband, log_weight)``: the log weight is the AWGN
         importance-sampling log likelihood ratio when
@@ -369,21 +327,18 @@ class WlanTestbench:
 
         if cfg.frontend is not None:
             with obs.span("block:rf_frontend", samples=len(sig)):
-                frontend = _build_frontend(cfg.frontend)
+                # process() is stage_outputs()[-1]; keeping the stages
+                # costs nothing and feeds the rf:* taps.
+                staged = _build_frontend(cfg.frontend).stage_outputs(sig, rng)
                 if probes.enabled:
-                    # stage_outputs is exactly process() with the
-                    # intermediate signals kept (identical rng usage).
                     probes.note_budget(cfg.frontend)
-                    staged = frontend.stage_outputs(sig, rng)
                     for name, stage_sig in staged:
                         probes.tap(
                             f"rf:{name}",
                             stage_sig.samples,
                             stage_sig.sample_rate,
                         )
-                    sig = staged[-1][1]
-                else:
-                    sig = frontend.process(sig, rng)
+                sig = staged[-1][1]
         elif self.oversample > 1:
             # No RF front end: decimate back to 20 MHz for the receiver
             # (ideal anti-alias — the DSP-only configuration).
@@ -448,22 +403,36 @@ class WlanTestbench:
     def run_packet_batch(
         self, rngs, probe_tags=None, noise_boost_db: Optional[float] = None
     ) -> list:
-        """Run a batch of packets with the PHY chain evaluated stacked.
+        """Send a batch of packets through the complete chain and decode them.
 
         The transmitter's bit chain and OFDM modulation run once over
         ``(n_packets, ...)`` arrays, the channel/RF path stays per packet
-        (each stage draws from its packet's own random stream, in the
-        same order as :meth:`run_packet`), and the receiver decodes the
-        whole batch through stacked FFTs and one batched Viterbi pass.
+        (each stage draws from its packet's own random stream, so an
+        outcome does not depend on the batch it ran in), and the receiver
+        decodes the whole batch through stacked FFTs and one batched
+        Viterbi pass.
+
+        Each stage runs under a ``block:`` span so a traced run yields a
+        per-block time breakdown (``repro profile``); with the default
+        no-op tracer the spans cost nothing.  When the ambient
+        :class:`repro.obs.ProbeRegistry` is enabled, signal taps fire at
+        the stage boundaries (TX output, channel output, every RF
+        front-end stage, equalizer output); the taps never touch the
+        signal or the random streams, so the outcomes are bit-identical
+        with probes on or off.
 
         Args:
             rngs: one :class:`numpy.random.Generator` per packet.
-            probe_tags: per-packet probe identity tags (defaults to
-                ``"pkt"`` each, like :meth:`run_packet`).
+            probe_tags: per-packet stable identity for probe reservoir
+                sampling (the seed coordinates in parallel runs);
+                defaults to ``"pkt"`` each.
+            noise_boost_db: importance-sampling noise-variance boost
+                (dB) applied to the AWGN proposal; None (and exactly
+                0.0) reproduces the plain channel bit for bit, with a
+                0.0 log weight on each outcome.
 
         Returns:
-            List of :class:`PacketOutcome`, bit-identical to calling
-            :meth:`run_packet` per packet.
+            List of :class:`PacketOutcome`, one per packet.
         """
         cfg = self.config
         probes = obs.get_probes()
@@ -549,9 +518,9 @@ class WlanTestbench:
                 chunk is one batched chain evaluation.
             batch_size: packets evaluated per stacked PHY-chain pass
                 inside a chunk; None defers to the ambient
-                ``--batch-size`` default (1 = the classic per-packet
-                path).  Any batch size is bit-identical — it only
-                changes throughput.
+                ``--batch-size`` default (1 = the same engine run in
+                groups of one).  Any batch size is bit-identical — it
+                only changes throughput.
             retries: per-chunk retry budget on task failure (each
                 attempt replays the chunk's own seed children, so a
                 retried measurement is bit-identical to a clean one);

@@ -92,29 +92,8 @@ class OfdmModulator:
         time = np.fft.ifft(freq) * TIME_SCALE
         return np.concatenate([time[-N_CP:], time])
 
-    def _modulate_blocks(
-        self, blocks: np.ndarray, symbol_indices: np.ndarray
-    ) -> np.ndarray:
-        """Stacked symbol assembly: one IFFT call for all symbols.
-
-        Args:
-            blocks: ``(n, 48)`` data constellation points.
-            symbol_indices: 0-based DATA symbol index per block (controls
-                pilot polarity).
-
-        Returns:
-            ``(n, 80)`` CP-prefixed time-domain symbols; row ``k`` equals
-            ``modulate_symbol(blocks[k], symbol_indices[k])`` exactly.
-        """
-        polarity = _PILOT_POLARITY[(symbol_indices + 1) % _PILOT_POLARITY.size]
-        freq = np.zeros((blocks.shape[0], N_FFT), dtype=complex)
-        freq[:, _DATA_BINS] = blocks
-        freq[:, _PILOT_BINS] = PILOT_BASE_VALUES[None, :] * polarity[:, None]
-        time = np.fft.ifft(freq, axis=1) * TIME_SCALE
-        return np.concatenate([time[:, -N_CP:], time], axis=1)
-
     def modulate(self, data_symbols: np.ndarray) -> np.ndarray:
-        """Modulate a whole DATA field with a single stacked IFFT.
+        """Modulate one DATA field (a batch of one).
 
         Args:
             data_symbols: array of shape ``(n_symbols, 48)`` or flat with a
@@ -123,10 +102,10 @@ class OfdmModulator:
         Returns:
             Concatenated time-domain samples, ``n_symbols * 80`` long.
         """
-        data_symbols = np.asarray(data_symbols, dtype=complex)
-        blocks = data_symbols.reshape(-1, _DATA_BINS.size)
-        out = self._modulate_blocks(blocks, np.arange(blocks.shape[0]))
-        return out.reshape(-1)
+        blocks = np.asarray(data_symbols, dtype=complex).reshape(
+            1, -1, _DATA_BINS.size
+        )
+        return self.modulate_batch(blocks)[0]
 
     def modulate_batch(self, data_symbols: np.ndarray) -> np.ndarray:
         """Modulate a batch of DATA fields in one stacked IFFT.
@@ -137,16 +116,18 @@ class OfdmModulator:
                 symbol 0.
 
         Returns:
-            ``(n_packets, n_symbols * 80)`` time-domain samples; row ``k``
-            equals ``modulate(data_symbols[k])`` exactly.
+            ``(n_packets, n_symbols * 80)`` time-domain samples, each
+            symbol CP-prefixed.
         """
         data_symbols = np.asarray(data_symbols, dtype=complex)
         if data_symbols.ndim != 3:
             raise ValueError("expected (n_packets, n_symbols, 48) input")
         n_packets, n_symbols, _ = data_symbols.shape
-        blocks = data_symbols.reshape(-1, _DATA_BINS.size)
-        indices = np.tile(np.arange(n_symbols), n_packets)
-        out = self._modulate_blocks(blocks, indices)
+        freq = np.zeros((n_packets, n_symbols, N_FFT), dtype=complex)
+        freq[..., _DATA_BINS] = data_symbols
+        freq[..., _PILOT_BINS] = pilot_value_rows(0, n_symbols)
+        time = np.fft.ifft(freq, axis=-1) * TIME_SCALE
+        out = np.concatenate([time[..., -N_CP:], time], axis=-1)
         return out.reshape(n_packets, n_symbols * (N_CP + N_FFT))
 
 
@@ -154,24 +135,13 @@ class OfdmDemodulator:
     """Splits a time-domain stream into frequency-domain OFDM symbols."""
 
     def demodulate(self, samples: np.ndarray) -> np.ndarray:
-        """FFT-demodulate a stream of CP-prefixed OFDM symbols.
+        """FFT-demodulate one stream of CP-prefixed OFDM symbols.
 
-        Args:
-            samples: time-domain samples; length must be a multiple of 80.
-
-        Returns:
-            Array of shape ``(n_symbols, 64)`` with full FFT bins
-            (normalized so transmitted constellation points are recovered
-            at unit scale over an ideal channel).
+        A batch of one through :meth:`demodulate_batch`: the length must be
+        a multiple of 80, and the result is ``(n_symbols, 64)``.
         """
-        samples = np.asarray(samples, dtype=complex)
-        if samples.size % (N_CP + N_FFT):
-            raise ValueError(
-                f"sample count {samples.size} is not a multiple of "
-                f"{N_CP + N_FFT}"
-            )
-        blocks = samples.reshape(-1, N_CP + N_FFT)[:, N_CP:]
-        return np.fft.fft(blocks, axis=1) / TIME_SCALE
+        samples = np.asarray(samples, dtype=complex).reshape(1, -1)
+        return self.demodulate_batch(samples)[0]
 
     def demodulate_batch(self, sample_rows: np.ndarray) -> np.ndarray:
         """FFT-demodulate a batch of symbol streams in one stacked FFT.
@@ -181,8 +151,9 @@ class OfdmDemodulator:
                 the row length must be a multiple of 80.
 
         Returns:
-            ``(n_packets, n_symbols, 64)`` FFT bins; slice ``k`` equals
-            ``demodulate(sample_rows[k])`` exactly.
+            ``(n_packets, n_symbols, 64)`` full FFT bins, normalized so
+            transmitted constellation points are recovered at unit scale
+            over an ideal channel.
         """
         sample_rows = np.asarray(sample_rows, dtype=complex)
         if sample_rows.ndim != 2:

@@ -83,30 +83,17 @@ class Transmitter:
         self._ofdm = OfdmModulator()
 
     def data_field_bits(self, psdu: np.ndarray) -> np.ndarray:
-        """Scrambled + padded DATA field bits (before FEC).
+        """:meth:`data_field_bits_batch` of one PSDU."""
+        return self.data_field_bits_batch(_one_row(psdu))[0]
+
+    def data_field_bits_batch(self, psdus: np.ndarray) -> np.ndarray:
+        """Scrambled + padded DATA field bits (before FEC), one row each.
 
         Implements 17.3.5.3/17.3.5.4: SERVICE + PSDU + tail + pad bits are
         scrambled, then the six tail bits are forced back to zero so the
-        convolutional code terminates.
-        """
-        psdu = np.asarray(psdu, dtype=np.uint8)
-        if psdu.size > MAX_PSDU_BYTES:
-            raise ValueError(f"PSDU too long ({psdu.size} bytes)")
-        rate = self.config.rate
-        psdu_bits = np.unpackbits(psdu, bitorder="little")
-        n_total = symbols_for_psdu(psdu.size, rate) * rate.n_dbps
-        bits = np.zeros(n_total, dtype=np.uint8)
-        bits[N_SERVICE_BITS : N_SERVICE_BITS + psdu_bits.size] = psdu_bits
-        scrambled = Scrambler(self.config.scrambler_seed).process(bits)
-        tail_start = N_SERVICE_BITS + psdu_bits.size
-        scrambled[tail_start : tail_start + N_TAIL_BITS] = 0
-        return scrambled
-
-    def data_field_bits_batch(self, psdus: np.ndarray) -> np.ndarray:
-        """Batched :meth:`data_field_bits` for ``(n_packets, n_bytes)``.
-
-        Every packet shares the PSDU length (one SIGNAL field per batch);
-        row ``k`` equals ``data_field_bits(psdus[k])`` exactly.
+        convolutional code terminates.  ``psdus`` is ``(n_packets,
+        n_bytes)``: every packet shares the PSDU length (one SIGNAL field
+        per batch).
         """
         psdus = np.asarray(psdus, dtype=np.uint8)
         if psdus.ndim != 2:
@@ -124,15 +111,11 @@ class Transmitter:
         return scrambled
 
     def data_symbols(self, psdu: np.ndarray) -> np.ndarray:
-        """Constellation symbols of the DATA field, shape (n_sym, 48)."""
-        rate = self.config.rate
-        bits = self.data_field_bits(psdu)
-        coded = puncture(self._encoder.encode(bits), rate.coding_rate)
-        interleaved = interleave(coded, rate.n_cbps, rate.n_bpsc)
-        return self._mapper.map(interleaved).reshape(-1, 48)
+        """:meth:`data_symbols_batch` of one PSDU: shape (n_sym, 48)."""
+        return self.data_symbols_batch(_one_row(psdu))[0]
 
     def data_symbols_batch(self, psdus: np.ndarray) -> np.ndarray:
-        """Batched :meth:`data_symbols`: ``(n_packets, n_symbols, 48)``."""
+        """DATA field constellation symbols, ``(n_packets, n_sym, 48)``."""
         rate = self.config.rate
         bits = self.data_field_bits_batch(psdus)
         coded = puncture(self._encoder.encode(bits), rate.coding_rate)
@@ -141,7 +124,7 @@ class Transmitter:
         return self._mapper.map(interleaved).reshape(n_packets, -1, 48)
 
     def transmit(self, psdu: np.ndarray) -> np.ndarray:
-        """Build the full PPDU waveform for one PSDU.
+        """Build the full PPDU waveform for one PSDU (a batch of one).
 
         Args:
             psdu: payload bytes (uint8).
@@ -150,15 +133,8 @@ class Transmitter:
             Complex baseband samples at ``config.sample_rate``, unit average
             power over the DATA portion.
         """
-        psdu = np.asarray(psdu, dtype=np.uint8)
-        signal_sym = encode_signal_field(self.config.rate, psdu.size)
-        data_wave = self._ofdm.modulate(self.data_symbols(psdu))
-        ppdu = np.concatenate([preamble(), signal_sym, data_wave])
-        if self.config.oversample > 1:
-            ppdu = resample_poly(ppdu, self.config.oversample, 1)
-            if self.config.spectral_shaping:
-                ppdu = self._shape(ppdu)
-        return ppdu
+        waves, _ = self.transmit_batch(_one_row(psdu))
+        return waves[0]
 
     def transmit_batch(self, psdus: np.ndarray):
         """Build the PPDU waveforms of a whole batch in stacked array ops.
@@ -172,10 +148,10 @@ class Transmitter:
 
         Returns:
             Tuple ``(waveforms, data_symbols)`` where ``waveforms`` is
-            ``(n_packets, n_samples)`` with row ``k`` equal to
-            ``transmit(psdus[k])`` exactly, and ``data_symbols`` is the
-            ``(n_packets, n_symbols, 48)`` constellation points (handy for
-            EVM probes without a recompute).
+            ``(n_packets, n_samples)`` at ``config.sample_rate``, one PPDU
+            per row, and ``data_symbols`` is the ``(n_packets, n_symbols,
+            48)`` constellation points (handy for EVM probes without a
+            recompute).
         """
         psdus = np.asarray(psdus, dtype=np.uint8)
         if psdus.ndim != 2:
@@ -205,6 +181,11 @@ class Transmitter:
             return samples
         sos = butter(7, edge / (fs / 2.0), btype="low", output="sos")
         return sosfiltfilt(sos, samples, axis=-1)
+
+
+def _one_row(psdu: np.ndarray) -> np.ndarray:
+    """A PSDU as a ``(1, n_bytes)`` batch."""
+    return np.asarray(psdu, dtype=np.uint8).reshape(1, -1)
 
 
 def random_psdu(n_bytes: int, rng: np.random.Generator) -> np.ndarray:

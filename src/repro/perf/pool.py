@@ -81,7 +81,7 @@ __all__ = [
 _default_jobs = 1
 
 #: Ambient PHY batch size installed by the CLI's ``--batch-size`` flag
-#: (1 = the classic per-packet chain).
+#: (1 = the batched chain run in groups of one).
 _default_batch_size = 1
 
 #: Ambient memoization default installed by the CLI's ``--memoize`` flag.
@@ -124,7 +124,7 @@ def set_default_batch_size(batch_size: Optional[int]) -> int:
 
     Args:
         batch_size: packets per stacked PHY-chain evaluation; None or 1
-            selects the per-packet path.
+            runs the chain one packet per batch.
 
     Returns:
         The previous default.

@@ -424,24 +424,12 @@ def packet_noise_dimension(config) -> int:
     guard padding, times the oversampling factor the bench will pick —
     the dimensionality that bounds a per-packet importance weight.
     """
-    from repro.dsp.params import RATES
+    from repro.core.testbench import oversample_factor
+    from repro.dsp.params import RATES, symbols_for_psdu
 
-    rate = RATES[config.rate_mbps]
-    n_sym = int(np.ceil((16 + 6 + 8 * config.psdu_bytes) / rate.n_dbps))
-    oversample = 1
-    scenario = getattr(config, "scenario", None)
-    if config.frontend is not None:
-        oversample = config.frontend.decimation
-    else:
-        if config.interference.sources:
-            max_offset = max(
-                abs(s.offset_channels) for s in config.interference.sources
-            )
-            oversample = 2 * (max_offset + 1)
-        if scenario is not None:
-            oversample = max(oversample, scenario.required_oversample())
+    n_sym = symbols_for_psdu(config.psdu_bytes, RATES[config.rate_mbps])
     samples = 2 * config.guard_samples + 320 + 80 * (1 + n_sym)
-    return int(samples * oversample)
+    return int(samples * oversample_factor(config))
 
 
 def is_incompatibility(config) -> Optional[str]:

@@ -1,11 +1,13 @@
-"""Batch-vs-serial bit-exactness of the batched PHY engine.
+"""Batch-size invariance of the PHY engine.
 
-The batched TX -> channel -> RX chain (``WlanTestbench.run_packet_batch``,
-``Transmitter.transmit_batch``, ``Receiver.receive_batch``) promises to be
-a pure throughput optimization: every batch size must reproduce the
-per-packet path bit for bit — decoded bits, BER/PER KPIs, probe
-summaries, early-stop behaviour, and the frozen golden digests.  This
-module is that promise as a test suite.
+The TX -> channel -> RX chain has one implementation, the batched one
+(``WlanTestbench.run_packet_batch``, ``Transmitter.transmit_batch``,
+``Receiver.receive_batch``); the per-packet calls (``run_packet``,
+``transmit``, ``receive``, ...) run it as a batch of one.  Batching must
+be a pure throughput optimization: a batch of N must reproduce N batches
+of one bit for bit — decoded bits, BER/PER KPIs, probe summaries,
+early-stop behaviour, and the frozen golden digests.  This module is that
+promise as a test suite.
 """
 
 import json
@@ -67,7 +69,7 @@ def _kpis(measurement):
 
 
 class TestChainBitExactness:
-    """run_packet_batch == N x run_packet, bit for bit, at every rate."""
+    """A batch of N == N batches of one (``run_packet``), at every rate."""
 
     @pytest.mark.parametrize("rate_mbps", ALL_RATES)
     def test_run_packet_batch_matches_scalar(self, rate_mbps):
