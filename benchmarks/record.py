@@ -12,10 +12,12 @@ recordings can be gated with ``repro runs diff``.
 (:mod:`benchmarks.bench_parallel_scaling`: the fixed 8-point sweep,
 serial vs ``jobs=2`` and ``jobs=4``), the signal-probe overhead
 benchmark (:mod:`benchmarks.bench_probes`: off vs basic vs full
-presets) and the batched PHY-engine throughput benchmark
+presets), the batched PHY-engine throughput benchmark
 (:mod:`benchmarks.bench_phy_throughput`: packets/s per rate and batch
-size, KPI-identity checked against serial) and writes their combined
-document there.
+size, KPI-identity checked against serial) and the filter-design cost
+benchmark (:mod:`benchmarks.bench_filter_design`: fig5 CPU ms and scipy
+designs per steady-state packet) and writes their combined document
+there.
 
 Usage::
 
@@ -169,6 +171,7 @@ def main(argv=None) -> int:
     print(f"wrote {out} ({len(results)} benchmarks)")
 
     if args.perf_out:
+        from bench_filter_design import run_filter_design
         from bench_parallel_scaling import run_scaling, warn_if_single_core
         from bench_phy_throughput import run_phy_throughput
         from bench_probes import run_probe_overhead
@@ -176,6 +179,9 @@ def main(argv=None) -> int:
         perf_doc = run_scaling(packets=args.packets)
         perf_doc["probes"] = run_probe_overhead(packets=args.packets)
         perf_doc["phy_throughput"] = run_phy_throughput(
+            packets=max(32, 16 * args.packets)
+        )
+        perf_doc["filter_design"] = run_filter_design(
             packets=max(32, 16 * args.packets)
         )
         perf_doc["single_core_recording"] = warn_if_single_core(perf_doc)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.signal import resample_poly
 
 from repro import obs
 from repro.channel.awgn import AwgnChannel
@@ -27,6 +28,7 @@ from repro.core.metrics import (
     BerMeasurement,
     error_vector_magnitude,
 )
+from repro.dsp.designs import resample_window
 from repro.dsp.receiver import Receiver, RxConfig, RxResult
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
@@ -342,11 +344,12 @@ class WlanTestbench:
         elif self.oversample > 1:
             # No RF front end: decimate back to 20 MHz for the receiver
             # (ideal anti-alias — the DSP-only configuration).
-            from scipy.signal import resample_poly
-
             with obs.span("block:decimator", samples=len(sig)):
                 sig = Signal(
-                    resample_poly(sig.samples, 1, self.oversample),
+                    resample_poly(
+                        sig.samples, 1, self.oversample,
+                        window=resample_window(1, self.oversample),
+                    ),
                     sample_rate / self.oversample,
                 )
             if probes.enabled:

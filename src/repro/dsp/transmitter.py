@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import resample_poly, sosfiltfilt
 
 from repro.dsp.convcode import ConvolutionalEncoder, puncture
+from repro.dsp.designs import iir_sos, resample_window
 from repro.dsp.interleaver import interleave
 from repro.dsp.modulation import Mapper
 from repro.dsp.ofdm import OfdmModulator
@@ -166,20 +167,21 @@ class Transmitter:
             axis=1,
         )
         if self.config.oversample > 1:
-            ppdu = resample_poly(ppdu, self.config.oversample, 1, axis=-1)
+            ppdu = resample_poly(
+                ppdu, self.config.oversample, 1, axis=-1,
+                window=resample_window(self.config.oversample, 1),
+            )
             if self.config.spectral_shaping:
                 ppdu = self._shape(ppdu)
         return ppdu, symbols
 
     def _shape(self, samples: np.ndarray) -> np.ndarray:
         """Zero-phase transmit pulse shaping (mask filter); last-axis N-D."""
-        from scipy.signal import butter, sosfiltfilt
-
         fs = self.config.sample_rate
         edge = self.config.shaping_edge_hz
         if edge >= fs / 2.0:
             return samples
-        sos = butter(7, edge / (fs / 2.0), btype="low", output="sos")
+        sos = iir_sos("butter", 7, edge / (fs / 2.0), "low")
         return sosfiltfilt(sos, samples, axis=-1)
 
 

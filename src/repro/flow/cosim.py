@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.signal import cheby1, butter
 
 from repro import obs
 from repro.channel.awgn import AwgnChannel
@@ -37,6 +36,7 @@ from repro.channel.interference import InterferenceScenario
 from repro.dsp.receiver import Receiver, RxConfig
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.flow.netlist import NetlistCompiler, frontend_to_netlist
+from repro.rf.filters import butterworth_highpass, chebyshev_lowpass
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
 from repro.rf.noise import thermal_noise_power, white_noise
 from repro.rf.signal import Signal, dbm_to_watts
@@ -119,15 +119,13 @@ class InterpretedFrontend:
         self.substeps = substeps
         self.max_steps = max_steps
         fs = config.sample_rate_in * substeps
-        nyq = fs / 2.0
-        self._hpf_sos = butter(
-            config.hpf_order, config.hpf_cutoff_hz / nyq,
-            btype="high", output="sos",
-        )
-        self._lpf_sos = cheby1(
-            config.lpf_order, config.lpf_ripple_db,
-            config.lpf_edge_hz / nyq, btype="low", output="sos",
-        )
+        self._hpf_sos = butterworth_highpass(
+            config.hpf_cutoff_hz, fs, order=config.hpf_order
+        ).sos
+        self._lpf_sos = chebyshev_lowpass(
+            config.lpf_edge_hz, fs,
+            order=config.lpf_order, ripple_db=config.lpf_ripple_db,
+        ).sos
         self._agc_alpha = 1.0 - np.exp(-1.0 / (agc_time_constant_s * fs))
         self.samples_processed = 0
 

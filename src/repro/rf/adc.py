@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import resample_poly
 
+from repro.dsp.designs import resample_window
 from repro.rf.signal import Signal, dbm_to_watts
 
 
@@ -63,7 +64,10 @@ class Adc:
         rate = signal.sample_rate
         if self.decimation > 1:
             if self.anti_alias:
-                x = resample_poly(x, 1, self.decimation)
+                x = resample_poly(
+                    x, 1, self.decimation,
+                    window=resample_window(1, self.decimation),
+                )
             else:
                 x = x[:: self.decimation]
             rate = rate / self.decimation

@@ -3,8 +3,9 @@
 The paper's receiver uses high-pass filtering between the mixer stages
 (removing DC offsets and flicker noise) and Chebyshev low-pass channel
 selection in the baseband section; figure 5 sweeps the Chebyshev passband
-edge.  Filters are designed with scipy at the working sample rate and
-applied causally (second-order sections), like the analog originals.
+edge.  Filters are designed with scipy at the working sample rate
+(once per parameter set, see :mod:`repro.dsp.designs`) and applied
+causally (second-order sections), like the analog originals.
 
 The module also reproduces the Spectre rflib limitation noted in section
 4.2: "no bandpass filter model is available which allows a bandwidth
@@ -22,6 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy import signal as sps
 
+from repro.dsp.designs import iir_sos
 from repro.rf.signal import Signal
 
 
@@ -34,7 +36,8 @@ class AnalogFilter:
     """A causal IIR filter applied to complex envelopes.
 
     Attributes:
-        sos: second-order sections (scipy format).
+        sos: second-order sections (scipy format); read-only when it
+            comes from the shared design memo.
         description: human-readable summary for netlists and reports.
     """
 
@@ -93,8 +96,8 @@ def chebyshev_lowpass(
         raise ValueError(
             f"passband edge {passband_edge_hz:g} Hz outside (0, {nyquist:g})"
         )
-    sos = sps.cheby1(
-        order, ripple_db, passband_edge_hz / nyquist, btype="low", output="sos"
+    sos = iir_sos(
+        "cheby1", order, passband_edge_hz / nyquist, "low", ripple_db
     )
     return AnalogFilter(
         sos=sos,
@@ -114,7 +117,7 @@ def butterworth_highpass(
         raise ValueError(
             f"cutoff {cutoff_hz:g} Hz outside (0, {nyquist:g})"
         )
-    sos = sps.butter(order, cutoff_hz / nyquist, btype="high", output="sos")
+    sos = iir_sos("butter", order, cutoff_hz / nyquist, "high")
     return AnalogFilter(
         sos=sos,
         description=f"butter highpass order={order} cutoff={cutoff_hz:g}Hz",
@@ -147,7 +150,7 @@ def chebyshev_bandpass(
     hi = (center_hz + bandwidth_hz / 2.0) / nyquist
     if not 0 < lo < hi < 1:
         raise ValueError("bandpass corners outside the representable band")
-    sos = sps.cheby1(order, ripple_db, [lo, hi], btype="band", output="sos")
+    sos = iir_sos("cheby1", order, (lo, hi), "band", ripple_db)
     return AnalogFilter(
         sos=sos,
         description=(
