@@ -3,7 +3,8 @@
 ``test_golden_vectors.py`` pins PPDUs only at ``oversample=1``.  These
 digests pin the oversampled paths as well: transmit interpolation and
 pulse shaping, every stage of both receiver front ends, the ADC's
-anti-alias decimator and the bench's channel + RF path.  They were
+anti-alias decimator, the bench's channel + RF path under each way of
+describing a channel, and the dataflow adjacent-channel block.  They were
 recorded from the implementation that designed every filter afresh on
 each call, so any change to where a filter comes from must leave them
 untouched.
@@ -17,6 +18,8 @@ import pytest
 from repro.channel.interference import InterferenceScenario
 from repro.core.testbench import TestbenchConfig, WlanTestbench
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
+from repro.flow.blocks import AdjacentChannelBlock
+from repro.flow.dataflow import SimulationContext
 from repro.obs.probes import get_probes
 from repro.rf.adc import Adc
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
@@ -75,9 +78,15 @@ FROZEN_ADC_ANTI_ALIAS = "7714f8ad88a4abe6"
 
 #: Bench name -> digest of three packets' ``_propagate`` basebands.
 FROZEN_PROPAGATE = {
+    "adjacent-120mhz": "f06dcd5b78e9994c",
+    "co-channel": "b540fa0729d63484",
     "fig5-adjacent": "3f3c806ab5f8b35d",
     "hostile-coexistence": "d6ede2e818de1131",
+    "indoor-fading": "b5cf68ec1b4bfdf0",
+    "non-adjacent-baseband": "b69f7543ab4a04fc",
 }
+
+FROZEN_ADJACENT_BLOCK = "0741ab8c7e383f64"
 
 
 def _bench(name):
@@ -90,11 +99,27 @@ def _bench(name):
             interference=InterferenceScenario.adjacent(),
             input_level_dbm=-60.0,
         )
+    if name == "adjacent-120mhz":
+        return TestbenchConfig(
+            rate_mbps=36,
+            psdu_bytes=60,
+            thermal_floor=True,
+            frontend=FrontendConfig(sample_rate_in=120e6),
+            interference=InterferenceScenario.adjacent(),
+            input_level_dbm=-60.0,
+        )
+    if name == "non-adjacent-baseband":
+        return TestbenchConfig(
+            rate_mbps=24,
+            psdu_bytes=60,
+            snr_db=20.0,
+            interference=InterferenceScenario.non_adjacent(),
+        )
     return TestbenchConfig(
         rate_mbps=24,
         psdu_bytes=60,
         snr_db=12.0,
-        scenario=Scenario.preset("hostile-coexistence"),
+        scenario=Scenario.preset(name),
     )
 
 
@@ -143,3 +168,12 @@ def test_propagate_digest(name):
         assert log_weight == 0.0
         basebands.append(baseband)
     assert _digest(*basebands) == FROZEN_PROPAGATE[name]
+
+
+def test_adjacent_channel_block_digest():
+    tx = Transmitter(TxConfig(rate_mbps=36, oversample=4))
+    guard = np.zeros(600, dtype=complex)
+    x = np.concatenate([guard, tx.transmit(_psdus(1, 60, 9)[0]), guard])
+    ctx = SimulationContext(rng=np.random.default_rng(11), sample_rate=80e6)
+    out = AdjacentChannelBlock(oversample=4).work({"in": x}, ctx)["out"]
+    assert _digest(out) == FROZEN_ADJACENT_BLOCK
