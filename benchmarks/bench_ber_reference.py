@@ -12,6 +12,7 @@ import numpy as np
 from repro.channel.fading import FadingChannel
 from repro.core.reporting import render_ascii_plot, render_table
 from repro.core.testbench import TestbenchConfig, WlanTestbench
+from repro.scenario import Scenario
 
 SNRS = [4.0, 8.0, 12.0, 16.0, 20.0, 24.0]
 RATES = [6, 12, 24, 54]
@@ -39,7 +40,9 @@ def _fading_curve():
                 rate_mbps=12,
                 psdu_bytes=60,
                 snr_db=snr,
-                fading=FadingChannel(rms_delay_spread_s=50e-9),
+                scenario=Scenario(
+                    fading=FadingChannel(rms_delay_spread_s=50e-9)
+                ),
             )
         )
         bers.append(bench.measure_ber(n_packets=N_PACKETS, seed=91).ber)

@@ -62,10 +62,10 @@ def test_fig4_ofdm_and_adjacent_channel(benchmark, save_result):
 
 def test_fig4_oversampling_requirement(benchmark):
     """Without oversampling the 20 MHz offset violates Nyquist."""
-    from repro.channel.interference import AdjacentChannelSource
+    from repro.scenario import WlanEmitter
 
     def attempt():
-        src = AdjacentChannelSource(offset_channels=1)
+        src = WlanEmitter(offset_channels=1)
         try:
             src.generate(1000, 20e6, 1e-6, np.random.default_rng(0))
         except ValueError as exc:

@@ -57,7 +57,7 @@ def measure_robustness():
         ("adjacent    (+16dB)", InterferenceScenario.adjacent()),
         ("non-adjacent(+32dB)", InterferenceScenario.non_adjacent()),
     ):
-        fs = 120e6 if scenario.sources and scenario.sources[0].offset_channels == 2 else 80e6
+        fs = 120e6 if scenario.emitters and scenario.emitters[0].offset_channels == 2 else 80e6
         bench = WlanTestbench(
             TestbenchConfig(
                 rate_mbps=24,

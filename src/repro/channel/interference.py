@@ -9,43 +9,16 @@ The 802.11a receiver requirement (17.3.10.2, quoted in section 2.2 of the
 paper): the adjacent channel may be 16 dB above the wanted level, the
 non-adjacent (alternate) channel 32 dB above.
 
-Power convention
-----------------
-
-An 802.11a interferer is bursty: packets separated by idle gaps.  Two
-power references are therefore meaningful, and ``excess_db`` must name
-one explicitly (mixing them was a real bias — scaling the *active-burst*
-power against a *time-averaged* wanted reference skews the realized
-excess by the duty factors involved):
-
-* ``"active"`` (default): ``excess_db`` relates **on-air burst powers**
-  — interferer power while transmitting over wanted power while
-  transmitting.  This matches the receiver-blocking test of 17.3.10.2,
-  where both signal generators are measured mid-burst.
-* ``"average"``: ``excess_db`` relates **time-averaged powers** over the
-  full simulated window, idle gaps included.
-
-Randomness
-----------
-
-Each interference source draws its timing jitter and payloads from its
-own child stream forked off a snapshot of the caller's generator state
-(:func:`repro.channel.streams.fork_stream`, scheme ``emitter-fork-v1``,
-recorded in run manifests) — enabling an interferer no longer shifts the
-wanted path's subsequent noise/payload draws.
+:class:`InterferenceScenario` names those two operating points as
+:class:`repro.scenario.Scenario` constructors: the duplicated transmitter
+is a :class:`repro.scenario.WlanEmitter`, and mixing, power convention
+and stream forking are the scenario's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import numpy as np
-
-from repro.channel.streams import fork_stream
-from repro.dsp.params import CHANNEL_SPACING
-from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
-from repro.rf.signal import Signal
+from repro.scenario.emitters import WlanEmitter
+from repro.scenario.scenario import Scenario
 
 #: Adjacent-channel excess level over the wanted signal (dB).
 ADJACENT_EXCESS_DB = 16.0
@@ -53,191 +26,26 @@ ADJACENT_EXCESS_DB = 16.0
 #: Non-adjacent (alternate) channel excess level (dB).
 NON_ADJACENT_EXCESS_DB = 32.0
 
-#: Valid ``power_convention`` values (see the module docstring).
-POWER_CONVENTIONS = ("active", "average")
 
+class InterferenceScenario(Scenario):
+    """The paper's figure-6 interference cases as scenarios.
 
-def active_power_watts(samples: np.ndarray) -> float:
-    """Mean on-air power: ``|x|**2`` averaged over *nonzero* samples."""
-    samples = np.asarray(samples)
-    inst = np.abs(samples[samples != 0]) ** 2
-    if inst.size == 0:
-        return 0.0
-    return float(np.mean(inst))
-
-
-def reference_power_watts(samples: np.ndarray, convention: str) -> float:
-    """The wanted-signal power an ``excess_db`` is measured against.
-
-    ``"active"`` averages over the wanted signal's nonzero (on-air)
-    samples; ``"average"`` over the full window, guard zeros included.
+    ``adjacent()`` is +16 dB at +20 MHz, ``non_adjacent()`` +32 dB at
+    +40 MHz; ``none()`` is the interferer-free reference.
     """
-    if convention not in POWER_CONVENTIONS:
-        raise ValueError(
-            f"unknown power convention {convention!r}; "
-            f"choose from {', '.join(POWER_CONVENTIONS)}"
-        )
-    samples = np.asarray(samples)
-    if convention == "active":
-        return active_power_watts(samples)
-    if samples.size == 0:
-        return 0.0
-    return float(np.mean(np.abs(samples) ** 2))
-
-
-def scale_to_excess(
-    samples: np.ndarray,
-    reference_power_watts_: float,
-    excess_db: float,
-    convention: str,
-) -> np.ndarray:
-    """Scale an emitter waveform to ``reference + excess_db`` consistently.
-
-    Under ``"active"`` the emitter's on-air (nonzero-sample) power lands
-    at the target; under ``"average"`` its full-window mean power does.
-    Either way the convention on both sides of the ratio is the same —
-    the duty-cycle bias of mixing them is exactly what this helper
-    exists to prevent.
-    """
-    if convention not in POWER_CONVENTIONS:
-        raise ValueError(
-            f"unknown power convention {convention!r}; "
-            f"choose from {', '.join(POWER_CONVENTIONS)}"
-        )
-    samples = np.asarray(samples, dtype=complex)
-    if convention == "active":
-        current = active_power_watts(samples)
-    else:
-        current = (
-            float(np.mean(np.abs(samples) ** 2)) if samples.size else 0.0
-        )
-    if current <= 0 or reference_power_watts_ <= 0:
-        return samples
-    target = reference_power_watts_ * 10.0 ** (excess_db / 10.0)
-    return samples * np.sqrt(target / current)
-
-
-@dataclass
-class AdjacentChannelSource:
-    """An interfering 802.11a transmitter on a neighbouring channel.
-
-    Attributes:
-        offset_channels: channel offset from the wanted signal (+1 is the
-            first adjacent channel at +20 MHz, +2 the non-adjacent at
-            +40 MHz; negative offsets are allowed; 0 is co-channel).
-        excess_db: interferer power relative to the wanted signal power,
-            in the sense of ``power_convention``.
-        rate_mbps: data rate of the interfering transmitter.
-        psdu_bytes: payload size of the interfering packets.
-        timing_jitter_samples: maximum random start-time offset.
-        power_convention: ``"active"`` (on-air burst powers, the
-            802.11a blocking-test convention, default) or ``"average"``
-            (time-averaged powers, idle gaps included).
-    """
-
-    offset_channels: int = 1
-    excess_db: float = ADJACENT_EXCESS_DB
-    rate_mbps: int = 24
-    psdu_bytes: int = 256
-    timing_jitter_samples: int = 400
-    power_convention: str = "active"
-
-    @property
-    def offset_hz(self) -> float:
-        """Frequency offset of the interferer in Hz."""
-        return self.offset_channels * CHANNEL_SPACING
-
-    @property
-    def required_halfband_hz(self) -> float:
-        """One-sided bandwidth the envelope must represent (Nyquist)."""
-        return abs(self.offset_hz) + 10e6
-
-    def generate(
-        self,
-        n_samples: int,
-        sample_rate: float,
-        wanted_power_watts: float,
-        rng: np.random.Generator,
-    ) -> Signal:
-        """Generate the interfering waveform.
-
-        The interferer is a stream of back-to-back packets from a duplicate
-        transmitter, frequency-shifted to its channel and scaled to
-        ``wanted_power + excess_db`` under this source's power convention.
-
-        Args:
-            n_samples: number of samples to cover.
-            sample_rate: envelope sample rate (must be an oversampled
-                multiple of 20 MHz large enough to represent the offset).
-            wanted_power_watts: reference power of the wanted signal,
-                measured under the *same* convention as this source
-                (:func:`reference_power_watts` computes it).
-            rng: this source's own random stream (the scenario layer
-                forks one per source; passing the wanted path's shared
-                generator here would re-couple the draws).
-        """
-        oversample = sample_rate / 20e6
-        if abs(oversample - round(oversample)) > 1e-9:
-            raise ValueError("sample rate must be a multiple of 20 MHz")
-        oversample = int(round(oversample))
-        if self.required_halfband_hz > sample_rate / 2.0:
-            raise ValueError(
-                f"sample rate {sample_rate:g} Hz cannot represent an "
-                f"interferer at {self.offset_hz:g} Hz offset; oversample "
-                f"the baseband (sampling theorem)"
-            )
-        tx = Transmitter(
-            TxConfig(rate_mbps=self.rate_mbps, oversample=oversample)
-        )
-        pieces = []
-        total = 0
-        start = int(rng.integers(0, self.timing_jitter_samples + 1))
-        pieces.append(np.zeros(start, dtype=complex))
-        total += start
-        while total < n_samples:
-            wave = tx.transmit(random_psdu(self.psdu_bytes, rng))
-            gap = np.zeros(10 * oversample, dtype=complex)
-            pieces.append(wave)
-            pieces.append(gap)
-            total += wave.size + gap.size
-        samples = np.concatenate(pieces)[:n_samples]
-        interferer = Signal(samples, sample_rate).shifted(self.offset_hz)
-        return interferer.with_samples(
-            scale_to_excess(
-                interferer.samples,
-                wanted_power_watts,
-                self.excess_db,
-                self.power_convention,
-            )
-        )
-
-
-@dataclass
-class InterferenceScenario:
-    """A set of interfering channels added to the wanted signal.
-
-    Factory helpers build the two standard cases of the paper's figure 6:
-    ``adjacent()`` (+16 dB at +20 MHz) and ``non_adjacent()`` (+32 dB at
-    +40 MHz).
-
-    (The richer declarative layer — co-channel traffic, Bluetooth-style
-    frequency hoppers, microwave-oven bursts, multipath — lives in
-    :mod:`repro.scenario`; its 802.11a emitter subsumes
-    :class:`AdjacentChannelSource` draw-for-draw.)
-    """
-
-    sources: List[AdjacentChannelSource] = field(default_factory=list)
 
     @classmethod
     def none(cls) -> "InterferenceScenario":
         """No interference."""
-        return cls(sources=[])
+        return cls(name="none")
 
     @classmethod
-    def adjacent(cls, excess_db: float = ADJACENT_EXCESS_DB) -> "InterferenceScenario":
+    def adjacent(
+        cls, excess_db: float = ADJACENT_EXCESS_DB
+    ) -> "InterferenceScenario":
         """First adjacent channel at +20 MHz."""
-        return cls(sources=[
-            AdjacentChannelSource(offset_channels=1, excess_db=excess_db)
+        return cls(name="adjacent", emitters=[
+            WlanEmitter(offset_channels=1, excess_db=excess_db)
         ])
 
     @classmethod
@@ -245,31 +53,6 @@ class InterferenceScenario:
         cls, excess_db: float = NON_ADJACENT_EXCESS_DB
     ) -> "InterferenceScenario":
         """Non-adjacent (alternate) channel at +40 MHz."""
-        return cls(sources=[
-            AdjacentChannelSource(offset_channels=2, excess_db=excess_db)
+        return cls(name="non-adjacent", emitters=[
+            WlanEmitter(offset_channels=2, excess_db=excess_db)
         ])
-
-    def apply(self, wanted: Signal, rng: np.random.Generator) -> Signal:
-        """Sum all interferers onto the wanted signal.
-
-        Source ``i`` draws from its own stream forked off a snapshot of
-        ``rng``'s state (``emitter-fork-v1``); ``rng`` itself is never
-        advanced, so the wanted path's subsequent draws are identical
-        with and without interference enabled.
-        """
-        if not self.sources:
-            return wanted
-        out = wanted.samples.copy()
-        references = {
-            convention: reference_power_watts(wanted.samples, convention)
-            for convention in {s.power_convention for s in self.sources}
-        }
-        for index, source in enumerate(self.sources):
-            interferer = source.generate(
-                out.size,
-                wanted.sample_rate,
-                references[source.power_convention],
-                fork_stream(rng, index),
-            )
-            out += interferer.samples[: out.size]
-        return wanted.with_samples(out)

@@ -1,6 +1,6 @@
 """Emitter stream derivation: independent randomness per interferer.
 
-The original :meth:`InterferenceScenario.apply` drew every interferer's
+The original interference mixer drew every interferer's
 timing jitter, payloads and bursts straight from the *caller's* shared
 generator — so enabling an interferer advanced the wanted path's stream
 and shifted every subsequent noise/payload draw.  A BER measured with an

@@ -23,9 +23,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.channel.interference import InterferenceScenario
 from repro.core.testbench import TestbenchConfig, WlanTestbench
 from repro.rf.frontend import FrontendConfig
+from repro.scenario import Scenario, WlanEmitter
 
 #: Minimum sensitivity levels required by IEEE 802.11a table 91 [dBm].
 STANDARD_SENSITIVITY_DBM: Dict[int, float] = {
@@ -183,30 +183,24 @@ def measure_adjacent_rejection(
         sensitivity_dbm: measured sensitivity (from
             :func:`find_sensitivity`).
         frontend: front-end design under test; the simulation bandwidth
-            must cover the interferer offset.
+            must cover the interferer offset (``TestbenchConfig`` raises
+            otherwise).
         offset_channels: 1 for adjacent (+20 MHz), 2 for alternate
             (+40 MHz — requires a >=120 MHz front end).
     """
     fe = frontend if frontend is not None else FrontendConfig()
-    needed = (abs(offset_channels) * 20e6 + 10e6) * 2
-    if fe.sample_rate_in < needed:
-        raise ValueError(
-            f"front-end bandwidth {fe.sample_rate_in:g} Hz cannot represent "
-            f"an interferer {offset_channels} channels away"
-        )
     wanted_dbm = sensitivity_dbm + 3.0
     excess = 0.0
     passing = -np.inf
     while excess <= max_excess_db:
-        scenario = InterferenceScenario(
-            sources=[_source(offset_channels, excess)]
-        )
         cfg = TestbenchConfig(
             rate_mbps=rate_mbps,
             psdu_bytes=psdu_bytes,
             thermal_floor=True,
             frontend=fe,
-            interference=scenario,
+            scenario=Scenario(emitters=[WlanEmitter(
+                offset_channels=offset_channels, excess_db=excess
+            )]),
             input_level_dbm=wanted_dbm,
         )
         per = measure_per(cfg, n_packets, seed)
@@ -225,12 +219,4 @@ def measure_adjacent_rejection(
         offset_channels=offset_channels,
         rejection_db=passing,
         standard_requirement_db=requirement,
-    )
-
-
-def _source(offset_channels: int, excess_db: float):
-    from repro.channel.interference import AdjacentChannelSource
-
-    return AdjacentChannelSource(
-        offset_channels=offset_channels, excess_db=excess_db
     )

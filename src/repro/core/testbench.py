@@ -13,7 +13,7 @@ receiver (section 5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,8 +21,6 @@ from scipy.signal import resample_poly
 
 from repro import obs
 from repro.channel.awgn import AwgnChannel
-from repro.channel.fading import FadingChannel
-from repro.channel.interference import InterferenceScenario
 from repro.core.metrics import (
     BerCounter,
     BerMeasurement,
@@ -112,22 +110,13 @@ def oversample_factor(config) -> int:
     """Envelope oversampling factor of a :class:`TestbenchConfig`.
 
     With an RF front end its decimation fixes the rate.  Without one,
-    the baseband is oversampled to fulfil the sampling theorem once an
-    adjacent channel is present (``2·(|k|+1)`` for the farthest channel
-    offset ``k``, as in the paper), or further when a scenario emitter
-    needs it (:meth:`repro.scenario.Scenario.required_oversample`).
+    the baseband is oversampled just enough for every scenario emitter
+    (:meth:`repro.scenario.Scenario.required_oversample`: the paper's
+    ``2·(|k|+1)`` for an 802.11a channel ``k`` channels out).
     """
     if config.frontend is not None:
         return config.frontend.decimation
-    oversample = 1
-    if config.interference.sources:
-        max_offset = max(
-            abs(s.offset_channels) for s in config.interference.sources
-        )
-        oversample = 2 * (max_offset + 1)
-    if config.scenario is not None:
-        oversample = max(oversample, config.scenario.required_oversample())
-    return oversample
+    return config.scenario.required_oversample()
 
 
 @dataclass
@@ -142,12 +131,13 @@ class TestbenchConfig:
         snr_db: normalized AWGN SNR; None disables normalized noise.
         thermal_floor: inject the physical kT*fs antenna noise (used with
             absolute input levels and the RF front end).
-        fading: optional multipath channel.
-        interference: adjacent-channel scenario.
-        scenario: optional declarative RF environment
-            (:class:`repro.scenario.Scenario`): arbitrary emitters
-            IQ-mixed after ``interference``, plus optional multipath
-            (used when ``fading`` is unset).
+        scenario: the channel (:class:`repro.scenario.Scenario`):
+            emitters IQ-mixed onto the wanted signal, then optional
+            multipath.  Empty by default (AWGN only).
+        interference: init-only shorthand for the paper-figure cases
+            (``interference=InterferenceScenario.adjacent()``); the given
+            scenario is stored as ``scenario``.  Passing both keywords
+            raises ``ValueError``.
         frontend: RF front-end configuration; None bypasses the RF
             subsystem entirely (pure DSP system, the paper's baseline
             demo-system configuration).
@@ -156,17 +146,19 @@ class TestbenchConfig:
         guard_samples: leading/trailing zero padding at 20 MHz.
         genie_rx: use genie timing/CFO (only sensible without a front
             end, whose group delay requires real synchronization).
+
+    Raises:
+        ValueError: when both ``interference`` and ``scenario`` are
+            given, or when the front end's envelope rate is too narrow
+            for a scenario emitter.
     """
 
     rate_mbps: int = 24
     psdu_bytes: int = 100
     snr_db: Optional[float] = None
     thermal_floor: bool = False
-    fading: Optional[FadingChannel] = None
-    interference: InterferenceScenario = field(
-        default_factory=InterferenceScenario.none
-    )
-    scenario: Optional[Scenario] = None
+    scenario: Scenario = field(default_factory=Scenario)
+    interference: InitVar[Optional[Scenario]] = None
     frontend: Optional[FrontendConfig] = None
     input_level_dbm: float = -55.0
     guard_samples: int = 150
@@ -174,6 +166,27 @@ class TestbenchConfig:
 
     #: Not a pytest test class, despite the name.
     __test__ = False
+
+    def __post_init__(self, interference):
+        if interference is not None:
+            if self.scenario != Scenario():
+                raise ValueError(
+                    "pass the channel as either interference= or "
+                    "scenario=, not both (interference= is shorthand "
+                    "for scenario=)"
+                )
+            self.scenario = interference
+        if (
+            self.frontend is not None
+            and self.scenario.max_halfband_hz()
+            > self.frontend.decimation * 10e6
+        ):
+            raise ValueError(
+                f"the RF front end fixes the envelope rate at "
+                f"{self.frontend.decimation * 20e6:g} Hz, too narrow for "
+                f"a scenario emitter needing "
+                f"{self.scenario.max_halfband_hz():g} Hz half-band"
+            )
 
 
 @dataclass
@@ -220,21 +233,9 @@ class WlanTestbench:
 
     def __init__(self, config: TestbenchConfig = TestbenchConfig()):
         self.config = config
-        oversample = oversample_factor(config)
-        if (
-            config.frontend is not None
-            and config.scenario is not None
-            and config.scenario.max_halfband_hz() > oversample * 10e6
-        ):
-            raise ValueError(
-                f"the RF front end fixes the envelope rate at "
-                f"{oversample * 20e6:g} Hz, too narrow for a scenario "
-                f"emitter needing "
-                f"{config.scenario.max_halfband_hz():g} Hz half-band"
-            )
-        self.oversample = oversample
+        self.oversample = oversample_factor(config)
         self._tx_config = TxConfig(
-            rate_mbps=config.rate_mbps, oversample=oversample
+            rate_mbps=config.rate_mbps, oversample=self.oversample
         )
         if config.genie_rx:
             self._rx_config = RxConfig(
@@ -276,7 +277,7 @@ class WlanTestbench:
         """One packet's channel + RF path: TX waveform to RX baseband.
 
         Covers everything between the transmitter and receiver spans —
-        guard padding, level adaptation, interference/fading/AWGN, the RF
+        guard padding, level adaptation, scenario emitters/fading/AWGN, the RF
         front end (or the ideal decimator), output normalization and the
         genie-timing slice — including all the per-packet probe taps.
 
@@ -305,14 +306,9 @@ class WlanTestbench:
 
         log_weight = 0.0
         with obs.span("block:channel", samples=len(sig)):
-            sig = cfg.interference.apply(sig, rng)
-            if cfg.scenario is not None:
-                sig = cfg.scenario.apply(sig, rng)
-            fading = cfg.fading
-            if fading is None and cfg.scenario is not None:
-                fading = cfg.scenario.fading
-            if fading is not None:
-                sig = fading.process(sig, rng)
+            sig = cfg.scenario.apply(sig, rng)
+            if cfg.scenario.fading is not None:
+                sig = cfg.scenario.fading.process(sig, rng)
             channel = AwgnChannel(
                 snr_db=cfg.snr_db,
                 include_thermal_floor=cfg.thermal_floor,

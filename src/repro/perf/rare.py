@@ -437,21 +437,17 @@ def is_incompatibility(config) -> Optional[str]:
 
     The scaled-variance proposal reweights only the AWGN draw, so the
     weighted estimator is unbiased only when AWGN dominates the error
-    mechanism.  A fading channel or any structured emitter (legacy
-    interference sources or scenario emitters) injects randomness the
-    weights do not model — the estimate would be silently biased.
+    mechanism.  A scenario emitter (interference) or fading channel
+    injects randomness the weights do not model — the estimate would be
+    silently biased.
     """
-    if getattr(config, "fading", None) is not None:
-        return "a fading channel is configured"
-    interference = getattr(config, "interference", None)
-    if interference is not None and interference.sources:
-        return "interference sources are configured"
-    scenario = getattr(config, "scenario", None)
-    if scenario is not None:
-        if scenario.emitters:
-            return "the scenario configures non-AWGN emitters"
-        if scenario.fading is not None:
-            return "the scenario configures a fading channel"
+    if config.scenario.emitters:
+        return (
+            "the scenario configures non-AWGN emitters "
+            "(interference the weights do not model)"
+        )
+    if config.scenario.fading is not None:
+        return "the scenario configures a fading channel"
     return None
 
 

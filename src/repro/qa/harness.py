@@ -674,13 +674,11 @@ def run_scenario_checks(
     """
     import numpy as np
 
-    from repro.channel.interference import (
-        InterferenceScenario,
-        active_power_watts,
-    )
+    from repro.channel.interference import InterferenceScenario
     from repro.core.sweep import ParameterSweep
     from repro.core.testbench import TestbenchConfig, WlanTestbench
     from repro.scenario import Scenario
+    from repro.scenario.emitters import active_power_watts
 
     checks: List[QaCheck] = []
 

@@ -10,25 +10,39 @@ summed onto the wanted samples).  Emitters share a single contract:
 where ``rng`` is the emitter's *own* forked stream (see
 :func:`repro.channel.streams.fork_stream`) and ``wanted_power_watts``
 the reference power measured under the emitter's ``power_convention``
-(:func:`repro.channel.interference.reference_power_watts`).  The
-returned waveform is scaled so its power under that same convention
-sits ``excess_db`` above the reference.
+(:func:`reference_power_watts`).  The returned waveform is scaled so its
+power under that same convention sits ``excess_db`` above the
+reference.
 
 Emitter types:
 
 * :class:`WlanEmitter` — an 802.11a transmitter on a configurable
-  channel offset (0 = co-channel, ±1 = adjacent, ±2 = alternate).
-  Subsumes the legacy
-  :class:`repro.channel.interference.AdjacentChannelSource`
-  draw-for-draw: a scenario holding one ``WlanEmitter(offset_channels=1,
-  excess_db=16)`` reproduces the paper's section-4.1 interferer bit for
-  bit.
+  channel offset (0 = co-channel, ±1 = adjacent, ±2 = alternate).  One
+  ``WlanEmitter(offset_channels=1, excess_db=16)`` is the paper's
+  section-4.1 interferer: "the transmitter model was duplicated and its
+  OFDM signal was shifted by 20 MHz in the frequency domain".
 * :class:`BluetoothFhEmitter` — slotted frequency-hopping blips:
   constant-envelope binary-FSK bursts (GFSK-like, 1 Msym/s, ±157 kHz
   deviation) hopping over a 1 MHz-spaced channel grid.
 * :class:`MicrowaveOvenEmitter` — magnetron burst noise: a swept
   carrier gated by the mains half-period duty cycle, with a random
   mains phase per packet window.
+
+Power convention
+----------------
+
+Emitters are bursty: on-air bursts separated by idle gaps.  Two power
+references are therefore meaningful, and ``excess_db`` must name one
+explicitly (mixing them was a real bias — scaling the *active-burst*
+power against a *time-averaged* wanted reference skews the realized
+excess by the duty factors involved):
+
+* ``"active"`` (default): ``excess_db`` relates **on-air burst powers**
+  — emitter power while transmitting over wanted power while
+  transmitting.  This matches the receiver-blocking test of 17.3.10.2,
+  where both signal generators are measured mid-burst.
+* ``"average"``: ``excess_db`` relates **time-averaged powers** over the
+  full simulated window, idle gaps included.
 """
 
 from __future__ import annotations
@@ -37,27 +51,112 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.interference import AdjacentChannelSource, scale_to_excess
+from repro.dsp.params import CHANNEL_SPACING
+from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.rf.signal import Signal
 
 __all__ = [
     "BluetoothFhEmitter",
     "MicrowaveOvenEmitter",
+    "POWER_CONVENTIONS",
     "WlanEmitter",
+    "active_power_watts",
+    "reference_power_watts",
+    "scale_to_excess",
 ]
+
+#: Valid ``power_convention`` values (see the module docstring).
+POWER_CONVENTIONS = ("active", "average")
+
+
+def active_power_watts(samples: np.ndarray) -> float:
+    """Mean on-air power: ``|x|**2`` averaged over *nonzero* samples."""
+    samples = np.asarray(samples)
+    inst = np.abs(samples[samples != 0]) ** 2
+    if inst.size == 0:
+        return 0.0
+    return float(np.mean(inst))
+
+
+def reference_power_watts(samples: np.ndarray, convention: str) -> float:
+    """The wanted-signal power an ``excess_db`` is measured against.
+
+    ``"active"`` averages over the wanted signal's nonzero (on-air)
+    samples; ``"average"`` over the full window, guard zeros included.
+    """
+    if convention not in POWER_CONVENTIONS:
+        raise ValueError(
+            f"unknown power convention {convention!r}; "
+            f"choose from {', '.join(POWER_CONVENTIONS)}"
+        )
+    samples = np.asarray(samples)
+    if convention == "active":
+        return active_power_watts(samples)
+    if samples.size == 0:
+        return 0.0
+    return float(np.mean(np.abs(samples) ** 2))
+
+
+def scale_to_excess(
+    samples: np.ndarray,
+    reference_power_watts_: float,
+    excess_db: float,
+    convention: str,
+) -> np.ndarray:
+    """Scale an emitter waveform to ``reference + excess_db`` consistently.
+
+    Under ``"active"`` the emitter's on-air (nonzero-sample) power lands
+    at the target; under ``"average"`` its full-window mean power does.
+    Either way the convention on both sides of the ratio is the same —
+    the duty-cycle bias of mixing them is exactly what this helper
+    exists to prevent.
+    """
+    if convention not in POWER_CONVENTIONS:
+        raise ValueError(
+            f"unknown power convention {convention!r}; "
+            f"choose from {', '.join(POWER_CONVENTIONS)}"
+        )
+    samples = np.asarray(samples, dtype=complex)
+    if convention == "active":
+        current = active_power_watts(samples)
+    else:
+        current = (
+            float(np.mean(np.abs(samples) ** 2)) if samples.size else 0.0
+        )
+    if current <= 0 or reference_power_watts_ <= 0:
+        return samples
+    target = reference_power_watts_ * 10.0 ** (excess_db / 10.0)
+    return samples * np.sqrt(target / current)
 
 
 @dataclass
-class WlanEmitter(AdjacentChannelSource):
+class WlanEmitter:
     """An interfering 802.11a transmitter at a configurable channel offset.
 
-    Identical to :class:`~repro.channel.interference
-    .AdjacentChannelSource` in fields, draw order and scaling — the
-    scenario layer's 802.11a emitter *is* the legacy interference
-    source, so declarative configs reproduce the paper's adjacent /
-    non-adjacent results exactly.  ``offset_channels=0`` models
-    co-channel traffic (a hidden-node style collision).
+    The interferer is a stream of back-to-back packets from a duplicate
+    transmitter, frequency-shifted to its channel.  ``offset_channels=0``
+    models co-channel traffic (a hidden-node style collision).
+
+    Attributes:
+        offset_channels: channel offset from the wanted signal (+1 is the
+            first adjacent channel at +20 MHz, +2 the non-adjacent at
+            +40 MHz; negative offsets are allowed; 0 is co-channel).
+        excess_db: interferer power relative to the wanted signal power,
+            in the sense of ``power_convention``.
+        rate_mbps: data rate of the interfering transmitter.
+        psdu_bytes: payload size of the interfering packets.
+        timing_jitter_samples: maximum random start-time offset.
+        power_convention: ``"active"`` (on-air burst powers, the
+            802.11a blocking-test convention, default) or ``"average"``
+            (time-averaged powers, idle gaps included).
     """
+
+    offset_channels: int = 1
+    excess_db: float = 16.0
+    rate_mbps: int = 24
+    psdu_bytes: int = 256
+    timing_jitter_samples: int = 400
+    power_convention: str = "active"
 
     #: Config ``type`` tag of this emitter class.
     kind = "wlan"
@@ -67,6 +166,76 @@ class WlanEmitter(AdjacentChannelSource):
         """Short probe-stage label, e.g. ``wlan+1`` / ``wlan0``."""
         return f"wlan{self.offset_channels:+d}" if self.offset_channels \
             else "wlan0"
+
+    @property
+    def offset_hz(self) -> float:
+        """Frequency offset of the interferer in Hz."""
+        return self.offset_channels * CHANNEL_SPACING
+
+    @property
+    def required_halfband_hz(self) -> float:
+        """One-sided bandwidth the envelope must represent (Nyquist)."""
+        return abs(self.offset_hz) + 10e6
+
+    def generate(
+        self,
+        n_samples: int,
+        sample_rate: float,
+        wanted_power_watts: float,
+        rng: np.random.Generator,
+    ) -> Signal:
+        """Generate the interfering waveform.
+
+        One random start offset, then back-to-back packets (one
+        ``Transmitter.transmit`` each, payloads drawn from ``rng``)
+        separated by 10-sample gaps, shifted to the channel offset and
+        scaled to ``wanted_power + excess_db``.
+
+        Args:
+            n_samples: number of samples to cover.
+            sample_rate: envelope sample rate (must be an oversampled
+                multiple of 20 MHz large enough to represent the offset).
+            wanted_power_watts: reference power of the wanted signal,
+                measured under the *same* convention as this emitter
+                (:func:`reference_power_watts` computes it).
+            rng: this emitter's own random stream (the scenario forks
+                one per emitter; passing the wanted path's shared
+                generator here would re-couple the draws).
+        """
+        oversample = sample_rate / 20e6
+        if abs(oversample - round(oversample)) > 1e-9:
+            raise ValueError("sample rate must be a multiple of 20 MHz")
+        oversample = int(round(oversample))
+        if self.required_halfband_hz > sample_rate / 2.0:
+            raise ValueError(
+                f"sample rate {sample_rate:g} Hz cannot represent an "
+                f"interferer at {self.offset_hz:g} Hz offset; oversample "
+                f"the baseband (sampling theorem)"
+            )
+        tx = Transmitter(
+            TxConfig(rate_mbps=self.rate_mbps, oversample=oversample)
+        )
+        pieces = []
+        total = 0
+        start = int(rng.integers(0, self.timing_jitter_samples + 1))
+        pieces.append(np.zeros(start, dtype=complex))
+        total += start
+        while total < n_samples:
+            wave = tx.transmit(random_psdu(self.psdu_bytes, rng))
+            gap = np.zeros(10 * oversample, dtype=complex)
+            pieces.append(wave)
+            pieces.append(gap)
+            total += wave.size + gap.size
+        samples = np.concatenate(pieces)[:n_samples]
+        interferer = Signal(samples, sample_rate).shifted(self.offset_hz)
+        return interferer.with_samples(
+            scale_to_excess(
+                interferer.samples,
+                wanted_power_watts,
+                self.excess_db,
+                self.power_convention,
+            )
+        )
 
 
 @dataclass
@@ -94,7 +263,7 @@ class BluetoothFhEmitter:
         duty: probability a slot transmits.
         symbol_rate_hz: FSK symbol rate.
         deviation_hz: FSK frequency deviation (Bluetooth GFSK ~157 kHz).
-        power_convention: see :mod:`repro.channel.interference`.
+        power_convention: see the module docstring.
     """
 
     excess_db: float = 0.0
@@ -186,7 +355,7 @@ class MicrowaveOvenEmitter:
             60 Hz; scenario presets shrink it so a WLAN packet window
             sees on/off transitions).
         duty: fraction of each period the magnetron radiates.
-        power_convention: see :mod:`repro.channel.interference`.
+        power_convention: see the module docstring.
     """
 
     excess_db: float = 0.0

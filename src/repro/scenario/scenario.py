@@ -40,13 +40,13 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.channel.fading import FadingChannel
-from repro.channel.interference import reference_power_watts
 from repro.channel.streams import fork_stream
 from repro.rf.signal import Signal
 from repro.scenario.emitters import (
     BluetoothFhEmitter,
     MicrowaveOvenEmitter,
     WlanEmitter,
+    reference_power_watts,
 )
 
 __all__ = ["EMITTER_TYPES", "PRESETS", "Scenario", "preset_names"]
@@ -165,10 +165,8 @@ class Scenario:
         name: scenario identifier (shows up in run names/manifests).
         emitters: emitter instances applied in order (each with its own
             forked stream — order only affects the floating-point sum).
-        fading: optional multipath channel applied after the emitters;
-            the test bench treats it exactly like
-            ``TestbenchConfig.fading`` (an explicit bench-level fading
-            wins when both are set).
+        fading: optional multipath channel the test bench applies after
+            the emitters (the bench's only multipath setting).
     """
 
     name: str = "custom"
@@ -234,10 +232,10 @@ class Scenario:
         """Smallest even oversampling factor representing every emitter.
 
         ``2 * ceil(halfband / base_rate)`` per emitter — for an 802.11a
-        emitter ``k`` channels out this is exactly the legacy
-        ``2 * (|k| + 1)`` rule ("the baseband signal was over-sampled
-        to fulfill the sampling theorem"), so scenario configs keep the
-        legacy interference path's sample rates bit for bit.
+        emitter ``k`` channels out this is the paper's ``2 * (|k| + 1)``
+        ("the baseband signal was over-sampled to fulfill the sampling
+        theorem").  This is the bench's only oversampling rule without
+        an RF front end.
         """
         if not self.emitters:
             return 1
@@ -268,8 +266,10 @@ class Scenario:
         views — taps never touch the samples or any stream, so the
         mixed waveform is bit-identical with probes on or off.
 
-        (Fading is *not* applied here: the bench runs it in the channel
-        block alongside ``TestbenchConfig.fading``, after the emitters.)
+        This is the only emitter-mixing loop: the paper's
+        :class:`~repro.channel.interference.InterferenceScenario` cases
+        run through it too.  (Fading is *not* applied here: the bench
+        runs ``fading`` in the channel block, after the emitters.)
         """
         if not self.emitters:
             return wanted

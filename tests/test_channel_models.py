@@ -1,7 +1,14 @@
 """Tests for channel models (repro.channel)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.channel.awgn import AwgnChannel, ebn0_to_snr_db, snr_to_ebn0_db
 from repro.channel.fading import (
@@ -10,13 +17,13 @@ from repro.channel.fading import (
 )
 from repro.channel.interference import (
     ADJACENT_EXCESS_DB,
-    AdjacentChannelSource,
     InterferenceScenario,
     NON_ADJACENT_EXCESS_DB,
 )
 from repro.dsp.params import RATES
 from repro.rf.noise import thermal_noise_power
 from repro.rf.signal import Signal
+from repro.scenario import WlanEmitter
 
 
 class TestAwgn:
@@ -93,19 +100,37 @@ class TestFading:
         assert out.samples.size == 500
 
 
+@pytest.mark.parametrize("statement", [
+    "import repro.channel.interference",
+    "import repro.scenario",
+])
+def test_import_first_in_fresh_interpreter(statement):
+    """``repro.channel`` and ``repro.scenario`` import in either order."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", statement],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestInterference:
     def test_standard_excess_levels(self):
         assert ADJACENT_EXCESS_DB == 16.0
         assert NON_ADJACENT_EXCESS_DB == 32.0
 
     def test_offset_hz(self):
-        assert AdjacentChannelSource(offset_channels=1).offset_hz == 20e6
-        assert AdjacentChannelSource(offset_channels=-2).offset_hz == -40e6
+        assert WlanEmitter(offset_channels=1).offset_hz == 20e6
+        assert WlanEmitter(offset_channels=-2).offset_hz == -40e6
 
     def test_generated_power_level(self):
         rng = np.random.default_rng(7)
-        src = AdjacentChannelSource(offset_channels=1, excess_db=16.0,
-                                    timing_jitter_samples=0)
+        src = WlanEmitter(offset_channels=1, excess_db=16.0,
+                          timing_jitter_samples=0)
         wanted_power = 1e-7
         sig = src.generate(40000, 80e6, wanted_power, rng)
         measured = np.mean(np.abs(sig.samples[sig.samples != 0]) ** 2)
@@ -113,7 +138,7 @@ class TestInterference:
 
     def test_spectrum_centered_at_offset(self):
         rng = np.random.default_rng(8)
-        src = AdjacentChannelSource(offset_channels=1)
+        src = WlanEmitter(offset_channels=1)
         sig = src.generate(32768, 80e6, 1e-6, rng)
         spec = np.abs(np.fft.fft(sig.samples)) ** 2
         freqs = np.fft.fftfreq(sig.samples.size, 1 / 80e6)
@@ -122,7 +147,7 @@ class TestInterference:
 
     def test_insufficient_sample_rate_rejected(self):
         rng = np.random.default_rng(9)
-        src = AdjacentChannelSource(offset_channels=2)
+        src = WlanEmitter(offset_channels=2)
         with pytest.raises(ValueError):
             src.generate(1000, 80e6, 1e-6, rng)
 
@@ -141,7 +166,7 @@ class TestInterference:
     def test_scenario_factories(self):
         adj = InterferenceScenario.adjacent()
         non = InterferenceScenario.non_adjacent()
-        assert adj.sources[0].offset_channels == 1
-        assert adj.sources[0].excess_db == 16.0
-        assert non.sources[0].offset_channels == 2
-        assert non.sources[0].excess_db == 32.0
+        assert adj.emitters[0].offset_channels == 1
+        assert adj.emitters[0].excess_db == 16.0
+        assert non.emitters[0].offset_channels == 2
+        assert non.emitters[0].excess_db == 32.0

@@ -13,13 +13,7 @@ import pytest
 
 from repro import obs
 from repro.channel.fading import FadingChannel
-from repro.channel.interference import (
-    AdjacentChannelSource,
-    InterferenceScenario,
-    active_power_watts,
-    reference_power_watts,
-    scale_to_excess,
-)
+from repro.channel.interference import InterferenceScenario
 from repro.channel.streams import fork_stream
 from repro.core.sweep import ParameterSweep
 from repro.core.testbench import TestbenchConfig, WlanTestbench
@@ -31,6 +25,11 @@ from repro.scenario import (
     Scenario,
     WlanEmitter,
     preset_names,
+)
+from repro.scenario.emitters import (
+    active_power_watts,
+    reference_power_watts,
+    scale_to_excess,
 )
 
 
@@ -192,7 +191,7 @@ class TestIsGating:
             bench.measure_ber(n_packets=1, estimator="is")
 
     def test_is_raises_with_bench_fading(self):
-        bench = self._bench(fading=FadingChannel())
+        bench = self._bench(scenario=Scenario(fading=FadingChannel()))
         with pytest.raises(ValueError, match="fading"):
             bench.measure_ber(n_packets=1, estimator="is")
 
@@ -228,7 +227,7 @@ class TestIsGating:
         assert plan()[0] == "is"
         assert plan(scenario=Scenario.preset("co-channel"))[0] == "mc"
         assert plan(scenario=Scenario.preset("indoor-fading"))[0] == "mc"
-        assert plan(fading=FadingChannel())[0] == "mc"
+        assert plan(scenario=Scenario(fading=FadingChannel()))[0] == "mc"
 
     def test_auto_sweep_runs_clean_under_scenario(self):
         sweep = ParameterSweep(
@@ -402,8 +401,10 @@ class TestScenarioConfig:
 
     def test_wlan_emitter_is_the_legacy_source(self):
         emitter = WlanEmitter(offset_channels=1, excess_db=16.0)
-        assert isinstance(emitter, AdjacentChannelSource)
-        legacy = InterferenceScenario.adjacent().sources[0]
+        paper = InterferenceScenario.adjacent()
+        assert isinstance(paper, Scenario)
+        assert paper.emitters == [emitter]
+        legacy = paper.emitters[0]
         rng_kwargs = dict(
             n_samples=2048, sample_rate=80e6, wanted_power_watts=1.0
         )
@@ -439,17 +440,61 @@ class TestScenarioBench:
     def test_frontend_rejects_too_wide_scenario(self):
         from repro.rf.frontend import FrontendConfig
 
-        cfg = TestbenchConfig(
-            rate_mbps=6,
-            thermal_floor=True,
-            frontend=FrontendConfig(),
-            input_level_dbm=-60.0,
-            scenario=Scenario(
-                emitters=[WlanEmitter(offset_channels=4, excess_db=16.0)]
+        with pytest.raises(ValueError, match="envelope"):
+            TestbenchConfig(
+                rate_mbps=6,
+                thermal_floor=True,
+                frontend=FrontendConfig(),
+                input_level_dbm=-60.0,
+                scenario=Scenario(
+                    emitters=[WlanEmitter(offset_channels=4, excess_db=16.0)]
+                ),
+            )
+
+    def test_frontend_rejects_non_adjacent_shorthand(self):
+        """The envelope check covers the paper constructors at build time."""
+        from repro.rf.frontend import FrontendConfig
+
+        with pytest.raises(ValueError, match="envelope"):
+            TestbenchConfig(
+                frontend=FrontendConfig(),
+                interference=InterferenceScenario.non_adjacent(),
+            )
+
+    def test_envelope_check_fires_in_sweep_point_build(self):
+        from repro.rf.frontend import FrontendConfig
+
+        sweep = ParameterSweep(
+            base_config=TestbenchConfig(
+                frontend=FrontendConfig(sample_rate_in=120e6),
+                interference=InterferenceScenario.non_adjacent(),
             ),
+            parameter="frontend.sample_rate_in",
+            values=[80e6],
         )
         with pytest.raises(ValueError, match="envelope"):
-            WlanTestbench(cfg)
+            sweep._configured(80e6)
+
+    def test_interference_and_scenario_together_raise(self):
+        """One channel per config: the two keywords cannot be combined."""
+        with pytest.raises(ValueError, match="interference=.*scenario="):
+            TestbenchConfig(
+                interference=InterferenceScenario.adjacent(),
+                scenario=Scenario.preset("adjacent-16db"),
+            )
+
+    def test_interference_keyword_lands_in_scenario(self):
+        from dataclasses import asdict, replace
+
+        paper = InterferenceScenario.adjacent()
+        cfg = TestbenchConfig(snr_db=10.0, interference=paper)
+        assert cfg.scenario is paper
+        assert "interference" not in asdict(cfg)
+        moved = replace(cfg, snr_db=12.0)
+        assert moved.scenario is paper
+        assert obs.config_key(cfg) == obs.config_key(
+            TestbenchConfig(snr_db=10.0, scenario=paper)
+        )
 
     def test_per_emitter_probe_taps(self):
         previous = obs.set_probes(
@@ -494,24 +539,6 @@ class TestScenarioBench:
         faded = measure(Scenario.preset("indoor-fading"))
         assert (clean.bit_errors, clean.per) != (faded.bit_errors,
                                                  faded.per)
-
-    def test_bench_fading_wins_over_scenario_fading(self):
-        bench_fading = FadingChannel(rms_delay_spread_s=100e-9)
-        both = TestbenchConfig(
-            rate_mbps=24, psdu_bytes=40, snr_db=10.0,
-            fading=bench_fading,
-            scenario=Scenario(fading=FadingChannel(
-                rms_delay_spread_s=50e-9
-            )),
-        )
-        explicit = TestbenchConfig(
-            rate_mbps=24, psdu_bytes=40, snr_db=10.0,
-            fading=bench_fading,
-        )
-        a = WlanTestbench(both).measure_ber(n_packets=2, seed=3)
-        b = WlanTestbench(explicit).measure_ber(n_packets=2, seed=3)
-        assert a.bit_errors == b.bit_errors
-        assert a.bits_total == b.bits_total
 
     def test_scenario_cli_runs(self, capsys):
         from repro.cli import main

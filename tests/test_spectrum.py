@@ -94,13 +94,13 @@ class TestMeasurements:
 
     def test_acpr_sees_interferer(self):
         rng = np.random.default_rng(3)
-        from repro.channel.interference import AdjacentChannelSource
+        from repro.scenario import WlanEmitter
 
         wave = Transmitter(TxConfig(rate_mbps=24, oversample=4)).transmit(
             random_psdu(200, rng)
         )
         sig = Signal(wave, 80e6)
-        interferer = AdjacentChannelSource(excess_db=16.0).generate(
+        interferer = WlanEmitter(excess_db=16.0).generate(
             wave.size, 80e6, sig.power_watts(), rng
         )
         combined = sig.with_samples(sig.samples + interferer.samples)

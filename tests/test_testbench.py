@@ -9,6 +9,7 @@ from repro.channel.fading import FadingChannel
 from repro.channel.interference import InterferenceScenario
 from repro.core.testbench import TestbenchConfig, WlanTestbench
 from repro.rf.frontend import FrontendConfig, ideal_frontend_config
+from repro.scenario import Scenario
 
 
 class TestDspOnlyBench:
@@ -49,7 +50,9 @@ class TestDspOnlyBench:
                 rate_mbps=6,
                 psdu_bytes=40,
                 snr_db=25.0,
-                fading=FadingChannel(rms_delay_spread_s=50e-9),
+                scenario=Scenario(
+                    fading=FadingChannel(rms_delay_spread_s=50e-9)
+                ),
             )
         )
         m = tb.measure_ber(n_packets=4, seed=4)
