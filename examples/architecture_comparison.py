@@ -7,9 +7,16 @@ plus the RF link-budget view of the chosen design.
 Run:  python examples/architecture_comparison.py
 """
 
-from repro.core.budget import frontend_cascade
 from repro.core.reporting import render_table
 from repro.core.testbench import TestbenchConfig, WlanTestbench
+from repro.rf.cascade import (
+    cascade_gain_db,
+    cascade_iip3_dbm,
+    cascade_table,
+    friis_noise_figure_db,
+    frontend_stages,
+    sensitivity_dbm,
+)
 from repro.rf.frontend import FrontendConfig
 from repro.rf.zeroif import ZeroIfConfig
 
@@ -29,13 +36,13 @@ def ber(frontend, level, rate=54, seed=9):
 
 def main():
     print("=== link budget of the double-conversion front end ===\n")
-    cascade = frontend_cascade(FrontendConfig())
-    print(cascade.as_table())
-    print(f"\ncascade: gain {cascade.total_gain_db:+.1f} dB, "
-          f"NF {cascade.total_nf_db:.2f} dB, "
-          f"IIP3 {cascade.total_iip3_dbm:+.1f} dBm")
+    stages = frontend_stages(FrontendConfig())
+    print(cascade_table(stages))
+    print(f"\ncascade: gain {cascade_gain_db(stages):+.1f} dB, "
+          f"NF {friis_noise_figure_db(stages):.2f} dB, "
+          f"IIP3 {cascade_iip3_dbm(stages):+.1f} dBm")
     print(f"budget sensitivity at 24 Mbps (11 dB SNR): "
-          f"{cascade.sensitivity_dbm(11.0):.1f} dBm")
+          f"{sensitivity_dbm(stages, 11.0):.1f} dBm")
 
     print("\n=== architecture shoot-out (54 Mbps, 10 ppm LO error) ===\n")
     double = FrontendConfig(lo_error_ppm=10.0)

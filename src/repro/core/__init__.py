@@ -14,7 +14,6 @@ from repro.core.metrics import (
     evm_to_snr_db,
     snr_to_evm_percent,
 )
-from repro.core.budget import CascadeAnalysis, Stage, frontend_cascade
 from repro.core.testbench import (
     WlanTestbench,
     TestbenchConfig,
@@ -51,9 +50,6 @@ __all__ = [
     "BerMeasurement",
     "error_vector_magnitude",
     "subcarrier_error_profile",
-    "CascadeAnalysis",
-    "Stage",
-    "frontend_cascade",
     "evm_to_snr_db",
     "snr_to_evm_percent",
     "WlanTestbench",

@@ -185,16 +185,32 @@ def error_vector_magnitude(
         raise ValueError("received and reference shapes differ")
     if received.size == 0:
         raise ValueError("empty symbol arrays")
-    ref_power = np.mean(np.abs(reference) ** 2)
-    if ref_power <= 0:
+    if np.mean(np.abs(reference) ** 2) <= 0:
         raise ValueError("reference has no power")
+    error_ratio, _ = normalized_error_power(received, reference, normalize)
+    return float(np.sqrt(error_ratio))
+
+
+def normalized_error_power(
+    received: np.ndarray, reference: np.ndarray, normalize: bool = True
+) -> Tuple[float, np.ndarray]:
+    """Squared RMS EVM ``mean |r - s|^2 / mean |s|^2`` and its points.
+
+    With ``normalize`` the received points are first divided by the
+    least-squares complex gain; the (corrected) points are returned
+    alongside the ratio.  The caller guarantees two equal-length,
+    non-empty complex arrays and a reference with non-zero power.
+    """
     work = received
     if normalize:
         gain = np.vdot(reference, received) / np.vdot(reference, reference)
-        if abs(gain) > 0:
+        if gain != 0:
             work = received / gain
-    error_power = np.mean(np.abs(work - reference) ** 2)
-    return float(np.sqrt(error_power / ref_power))
+    error_ratio = float(
+        np.mean(np.abs(work - reference) ** 2)
+        / np.mean(np.abs(reference) ** 2)
+    )
+    return error_ratio, work
 
 
 def subcarrier_error_profile(

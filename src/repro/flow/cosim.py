@@ -36,6 +36,7 @@ from repro.channel.interference import InterferenceScenario
 from repro.dsp.receiver import Receiver, RxConfig
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.flow.netlist import NetlistCompiler, frontend_to_netlist
+from repro.rf.cascade import frontend_stages, friis_noise_figure_db
 from repro.rf.filters import butterworth_highpass, chebyshev_lowpass
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
 from repro.rf.noise import thermal_noise_power, white_noise
@@ -62,17 +63,6 @@ class CoSimAbort(RuntimeError):
             f"analog engine aborted after {steps_completed} sub-steps "
             f"({samples_completed} input samples fully processed)"
         )
-
-
-def cascade_noise_figure_db(config: FrontendConfig) -> float:
-    """Friis cascade noise figure of the front end's active stages."""
-    f1 = 10.0 ** (config.lna_nf_db / 10.0)
-    f2 = 10.0 ** (config.mixer1_nf_db / 10.0)
-    f3 = 10.0 ** (config.mixer2_nf_db / 10.0)
-    g1 = 10.0 ** (config.lna_gain_db / 10.0)
-    g2 = 10.0 ** (config.mixer1_gain_db / 10.0)
-    total = f1 + (f2 - 1.0) / g1 + (f3 - 1.0) / (g1 * g2)
-    return float(10.0 * np.log10(total))
 
 
 class InterpretedFrontend:
@@ -421,7 +411,9 @@ class CoSimulation:
             not cfg.noise_support
             and cfg.noise_workaround == "system_side"
         ):
-            nf_db = cascade_noise_figure_db(self.frontend_config)
+            nf_db = friis_noise_figure_db(
+                frontend_stages(self.frontend_config)
+            )
             added = (10.0 ** (nf_db / 10.0) - 1.0) * thermal_noise_power(
                 sig.sample_rate
             )

@@ -317,8 +317,8 @@ class ProbeRegistry:
     ) -> None:
         """Data-aided EVM of equalized constellation points.
 
-        Per-packet least-squares complex gain removal, exactly as
-        :func:`repro.core.metrics.error_vector_magnitude`; the squared
+        Per-packet least-squares complex gain removal by
+        :func:`repro.core.metrics.normalized_error_power`; the squared
         EVM accumulates symbol-weighted so the merged RMS matches a
         single-pass measurement.  With ``constellation`` enabled, the
         gain-corrected points also feed the bottom-k IQ reservoir under
@@ -326,21 +326,17 @@ class ProbeRegistry:
         """
         if not self.config.enabled:
             return
+        from repro.core.metrics import normalized_error_power
+
         rx = np.asarray(received, dtype=complex).ravel()
         ref = np.asarray(reference, dtype=complex).ravel()
         n = min(rx.size, ref.size)
         if n == 0:
             return
         rx, ref = rx[:n], ref[:n]
-        ref_power = np.vdot(ref, ref)
-        if ref_power.real <= 0.0:
+        if np.vdot(ref, ref).real <= 0.0:
             return
-        gain = np.vdot(ref, rx) / ref_power
-        if gain != 0:
-            rx = rx / gain
-        err_sq = float(
-            np.mean(np.abs(rx - ref) ** 2) / np.mean(np.abs(ref) ** 2)
-        )
+        err_sq, rx = normalized_error_power(rx, ref)
         with self._lock:
             entry = self._evm.get(modulation)
             if entry is None:
@@ -382,11 +378,11 @@ class ProbeRegistry:
     def note_budget(self, frontend_config: Any) -> None:
         """Record the cascade (Friis) budget predictions for the RF taps.
 
-        Derives per-stage cumulative gain and noise figure from the
-        front-end configuration via :mod:`repro.rf.cascade`, so the
-        waterfall can print measured power next to the paper-style
-        line-up budget.  First call wins (the config is constant within
-        a run); unknown architectures are simply skipped.
+        Derives per-tap cumulative gain and noise figure from the
+        front-end line-up of :func:`repro.rf.cascade.frontend_stages`,
+        so the waterfall can print measured power next to the
+        paper-style line-up budget.  First call wins (the config is
+        constant within a run).
         """
         if not self.config.enabled:
             return
@@ -394,33 +390,14 @@ class ProbeRegistry:
             if self._budget:
                 return
         from repro.rf.cascade import (
-            StageSpec,
             cascade_gain_db,
             friis_noise_figure_db,
+            frontend_stages,
+            tap_prefixes,
         )
-        from repro.rf.nonlinearity import iip3_from_p1db
 
-        cfg = frontend_config
-        if hasattr(cfg, "mixer1_gain_db"):  # double conversion
-            specs = [
-                StageSpec("lna", cfg.lna_gain_db, cfg.lna_nf_db,
-                          iip3_from_p1db(cfg.lna_p1db_dbm)),
-                StageSpec("mixer1", cfg.mixer1_gain_db, cfg.mixer1_nf_db),
-                StageSpec("mixer1_nl", 0.0, iip3_dbm=cfg.mixer1_iip3_dbm),
-                StageSpec("mixer2", cfg.mixer2_gain_db, cfg.mixer2_nf_db),
-                StageSpec("mixer2_nl", 0.0, iip3_dbm=cfg.mixer2_iip3_dbm),
-            ]
-            prefixes = {"input": 0, "lna": 1, "mixer1": 3, "mixer2": 5}
-        elif hasattr(cfg, "mixer_gain_db"):  # zero-IF
-            specs = [
-                StageSpec("lna", cfg.lna_gain_db, cfg.lna_nf_db,
-                          iip3_from_p1db(cfg.lna_p1db_dbm)),
-                StageSpec("mixer", cfg.mixer_gain_db, cfg.mixer_nf_db),
-                StageSpec("mixer_nl", 0.0, iip3_dbm=cfg.mixer_iip3_dbm),
-            ]
-            prefixes = {"input": 0, "lna": 1, "mixer": 3}
-        else:
-            return
+        specs = frontend_stages(frontend_config)
+        prefixes = {"input": 0, **tap_prefixes(specs)}
         budget = {
             name: {
                 "gain_db": cascade_gain_db(specs[:cut]),

@@ -43,7 +43,12 @@ from repro.rf.cascade import (
     cascade_gain_db,
     cascade_iip3_dbm,
     cascade_input_p1db_dbm,
+    cascade_table,
+    frontend_stages,
     friis_noise_figure_db,
+    sensitivity_dbm,
+    spurious_free_range_db,
+    tap_prefixes,
 )
 from repro.rf.frontend import (
     DoubleConversionReceiver,
@@ -86,7 +91,12 @@ __all__ = [
     "cascade_gain_db",
     "cascade_iip3_dbm",
     "cascade_input_p1db_dbm",
+    "cascade_table",
+    "frontend_stages",
     "friis_noise_figure_db",
+    "sensitivity_dbm",
+    "spurious_free_range_db",
+    "tap_prefixes",
     "DoubleConversionReceiver",
     "FrontendConfig",
     "ideal_frontend_config",

@@ -1,11 +1,15 @@
-"""Closed-form cascade budgets: Friis noise figure, IIP3 and P1dB.
+"""The RF line-up budget: Friis noise figure, IIP3, P1dB and sensitivity.
 
 The paper verifies the behavioral RF models against the numbers an RF
 designer would compute on paper — a cascade (spreadsheet) budget of the
-receiver line-up.  This module provides those textbook formulas over a
-declarative stage list, plus :class:`BlockCascade`, a behavioral chain
-that runs the *same* stages through their executable models so
-:func:`repro.flow.rfsim.characterize` can be checked against theory.
+receiver line-up.  This module is the repo's only implementation of
+those textbook formulas: :func:`frontend_stages` turns a front-end
+configuration into its :class:`StageSpec` line-up, and plain functions
+over a stage list give the cascade figures, the link-budget sensitivity
+and the cumulative table printed at the probe tap boundaries.
+:class:`BlockCascade` runs the *same* stages through their executable
+models so :func:`repro.flow.rfsim.characterize` can be checked against
+theory.
 
 Formulas (all standard):
 
@@ -14,17 +18,21 @@ Formulas (all standard):
 * P1dB:    cascade IIP3 minus the cubic-model offset of ~9.64 dB
   (exact for a memoryless cubic chain dominated by one compressor,
   a good approximation otherwise).
+* Sensitivity: ``S = -174 + 10log10(B) + NF + SNR_req + margin`` [dBm].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.rf.noise import thermal_noise_psd_dbm_hz
 from repro.rf.nonlinearity import P1DB_IIP3_OFFSET_DB, iip3_from_p1db
 from repro.rf.signal import Signal
+from repro.rf.zeroif import ZeroIfConfig
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,7 @@ class StageSpec:
     Attributes:
         name: stage label (for reports).
         gain_db: small-signal power gain.
-        nf_db: noise figure; 0 for a noiseless stage.
+        nf_db: noise figure; 0 for a noiseless stage, never negative.
         iip3_dbm: input-referred third-order intercept; ``inf`` for a
             linear stage.
     """
@@ -43,6 +51,63 @@ class StageSpec:
     gain_db: float
     nf_db: float = 0.0
     iip3_dbm: float = np.inf
+
+    def __post_init__(self):
+        if any(
+            math.isnan(v) for v in (self.gain_db, self.nf_db, self.iip3_dbm)
+        ):
+            raise ValueError(f"stage {self.name!r} has a NaN figure")
+        if self.nf_db < 0:
+            raise ValueError(
+                f"stage {self.name!r} noise figure must be >= 0 dB, "
+                f"got {self.nf_db}"
+            )
+
+
+def frontend_stages(config) -> List[StageSpec]:
+    """The line-up budget of a front-end configuration.
+
+    Dispatches like the test bench: a
+    :class:`repro.rf.zeroif.ZeroIfConfig` is a direct-conversion
+    receiver (LNA, one quadrature mixer), anything else a
+    double-conversion :class:`repro.rf.frontend.FrontendConfig` (LNA,
+    two mixers).  Each mixer nonlinearity sits *after* its conversion
+    gain (a zero-gain cubic block), so it is its own ``<mixer>_nl``
+    stage.  Filters, AGC and ADC are left out: unity in-band gain,
+    negligible noise, and the AGC would mask compression.
+    """
+    cfg = config
+    if isinstance(cfg, ZeroIfConfig):
+        mixers = [("mixer", cfg.mixer_gain_db, cfg.mixer_nf_db,
+                   cfg.mixer_iip3_dbm)]
+    else:
+        mixers = [
+            ("mixer1", cfg.mixer1_gain_db, cfg.mixer1_nf_db,
+             cfg.mixer1_iip3_dbm),
+            ("mixer2", cfg.mixer2_gain_db, cfg.mixer2_nf_db,
+             cfg.mixer2_iip3_dbm),
+        ]
+    stages = [
+        StageSpec("lna", cfg.lna_gain_db, cfg.lna_nf_db,
+                  iip3_from_p1db(cfg.lna_p1db_dbm)),
+    ]
+    for name, gain_db, nf_db, iip3_dbm in mixers:
+        stages.append(StageSpec(name, gain_db, nf_db))
+        stages.append(StageSpec(f"{name}_nl", 0.0, iip3_dbm=iip3_dbm))
+    return stages
+
+
+def tap_prefixes(stages: Sequence[StageSpec]) -> Dict[str, int]:
+    """Probe tap name -> number of line-up stages in front of that tap.
+
+    A ``<stage>_nl`` nonlinearity belongs to the tap of its stage, so the
+    double-conversion line-up gives ``{"lna": 1, "mixer1": 3,
+    "mixer2": 5}`` — the ``rf:`` probe taps' stage names.
+    """
+    cuts: Dict[str, int] = {}
+    for k, stage in enumerate(stages, 1):
+        cuts[stage.name.removesuffix("_nl")] = k
+    return cuts
 
 
 def cascade_gain_db(stages: Sequence[StageSpec]) -> float:
@@ -87,6 +152,61 @@ def cascade_input_p1db_dbm(stages: Sequence[StageSpec]) -> float:
     is the memoryless cubic model used by the SPW-style library.
     """
     return cascade_iip3_dbm(stages) - P1DB_IIP3_OFFSET_DB
+
+
+def sensitivity_dbm(
+    stages: Sequence[StageSpec],
+    required_snr_db: float,
+    bandwidth_hz: float = 16.6e6,
+    implementation_margin_db: float = 0.0,
+) -> float:
+    """Link-budget sensitivity: thermal floor + cascade NF + SNR [dBm]."""
+    if bandwidth_hz <= 0:
+        raise ValueError("bandwidth must be positive")
+    return (
+        thermal_noise_psd_dbm_hz()
+        + 10.0 * np.log10(bandwidth_hz)
+        + friis_noise_figure_db(stages)
+        + required_snr_db
+        + implementation_margin_db
+    )
+
+
+def spurious_free_range_db(
+    stages: Sequence[StageSpec], input_dbm: float
+) -> float:
+    """Distance of the third-order products below the signal.
+
+    For an input at ``input_dbm`` the IM3 products sit
+    ``2 * (IIP3 - input)`` dB below it.
+    """
+    iip3 = cascade_iip3_dbm(stages)
+    if not np.isfinite(iip3):
+        return np.inf
+    return 2.0 * (iip3 - input_dbm)
+
+
+def cascade_table(stages: Sequence[StageSpec]) -> str:
+    """Cumulative gain / NF / IIP3 table, one row per probe tap."""
+    from repro.core.reporting import render_table
+
+    rows = []
+    start = 0
+    for tap, cut in tap_prefixes(stages).items():
+        iip3 = cascade_iip3_dbm(stages[:cut])
+        rows.append([
+            tap,
+            f"{cascade_gain_db(stages[start:cut]):+.1f}",
+            f"{cascade_gain_db(stages[:cut]):+.1f}",
+            f"{friis_noise_figure_db(stages[:cut]):.2f}",
+            "inf" if not np.isfinite(iip3) else f"{iip3:+.1f}",
+        ])
+        start = cut
+    return render_table(
+        ["stage", "gain [dB]", "cum gain [dB]", "cum NF [dB]",
+         "cum IIP3 [dBm]"],
+        rows,
+    )
 
 
 class _ApplyAdapter:
@@ -142,13 +262,9 @@ def active_stage_cascade(
 
     Returns both the executable cascade (LNA, mixer 1 + its
     nonlinearity, quadrature mixer 2 + its nonlinearity) and the
-    matching paper :class:`StageSpec` budget derived from the
-    receiver's configuration — the pair the conformance oracles
-    compare.  Filters, AGC and ADC are excluded: they do not belong in
-    a line-up budget (unity in-band gain, negligible noise) and the AGC
-    would mask compression.
+    matching :func:`frontend_stages` budget of the receiver's
+    configuration — the pair the conformance oracles compare.
     """
-    cfg = receiver.config
     cascade = BlockCascade(
         [
             receiver.lna,
@@ -158,18 +274,4 @@ def active_stage_cascade(
             receiver._mixer2_nl,
         ]
     )
-    specs = [
-        StageSpec(
-            "lna",
-            cfg.lna_gain_db,
-            cfg.lna_nf_db,
-            iip3_from_p1db(cfg.lna_p1db_dbm),
-        ),
-        StageSpec("mixer1", cfg.mixer1_gain_db, cfg.mixer1_nf_db),
-        # The mixer nonlinearities sit *after* the conversion gain
-        # (zero-gain cubic blocks), so they appear as their own stages.
-        StageSpec("mixer1_nl", 0.0, iip3_dbm=cfg.mixer1_iip3_dbm),
-        StageSpec("mixer2", cfg.mixer2_gain_db, cfg.mixer2_nf_db),
-        StageSpec("mixer2_nl", 0.0, iip3_dbm=cfg.mixer2_iip3_dbm),
-    ]
-    return cascade, specs
+    return cascade, frontend_stages(receiver.config)

@@ -44,6 +44,7 @@ from repro.rf.filters import (
     chebyshev_lowpass,
 )
 from repro.rf.mixer import Mixer, QuadratureMixer
+from repro.rf.noise import check_noise_figures
 from repro.rf.nonlinearity import CubicNonlinearity
 from repro.rf.oscillator import LocalOscillator
 from repro.rf.signal import Signal
@@ -136,6 +137,7 @@ class FrontendConfig:
             raise ValueError(
                 "sample_rate_in must be an integer multiple of 20 MHz"
             )
+        check_noise_figures(self)
 
     @property
     def decimation(self) -> int:

@@ -8,7 +8,7 @@ injection conditional; see :mod:`repro.flow.cosim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,18 @@ def thermal_noise_power(bandwidth_hz: float, temperature_k: float = T0) -> float
     if bandwidth_hz < 0:
         raise ValueError("bandwidth must be non-negative")
     return BOLTZMANN * temperature_k * bandwidth_hz
+
+
+def check_noise_figures(config) -> None:
+    """Reject a front-end config with a negative ``*_nf_db`` field.
+
+    A noise figure below 0 dB is physically impossible; the amplifier
+    and mixer models would silently simulate such a stage as noiseless.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name.endswith("_nf_db") and value < 0:
+            raise ValueError(f"{f.name} must be >= 0 dB, got {value}")
 
 
 def thermal_noise_psd_dbm_hz(temperature_k: float = T0) -> float:

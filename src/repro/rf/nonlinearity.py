@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rf.signal import db_to_linear, dbm_to_watts, watts_to_dbm
+from repro.rf.signal import dbm_to_watts, watts_to_dbm
 
 #: Gain-compression ratio at the 1 dB compression point: 1 - 10**(-1/20).
 _ONE_DB_FRACTION = 1.0 - 10.0 ** (-1.0 / 20.0)
@@ -157,22 +157,3 @@ class RappNonlinearity:
             out = out * np.exp(1j * phi)
         return out
 
-
-def effective_iip3_cascade_dbm(stages) -> float:
-    """Cascaded input IP3 of a chain (Friis-style IP3 combination).
-
-    Args:
-        stages: iterable of ``(gain_db, iip3_dbm)`` tuples in chain order.
-
-    Returns:
-        The input-referred IP3 of the cascade in dBm, using
-        ``1/IIP3_tot = sum(G_before_stage / IIP3_stage)`` in linear power.
-    """
-    inv_total = 0.0
-    gain_before = 1.0
-    for gain_db, iip3_dbm in stages:
-        inv_total += gain_before / dbm_to_watts(iip3_dbm)
-        gain_before *= db_to_linear(gain_db)
-    if inv_total <= 0:
-        return np.inf
-    return watts_to_dbm(1.0 / inv_total)

@@ -27,6 +27,7 @@ from repro.rf.adc import Adc
 from repro.rf.amplifier import AgcAmplifier, Amplifier
 from repro.rf.filters import butterworth_highpass, chebyshev_lowpass
 from repro.rf.mixer import QuadratureMixer
+from repro.rf.noise import check_noise_figures
 from repro.rf.oscillator import LocalOscillator
 from repro.rf.signal import Signal
 
@@ -96,6 +97,7 @@ class ZeroIfConfig:
             raise ValueError(
                 "sample_rate_in must be an integer multiple of 20 MHz"
             )
+        check_noise_figures(self)
 
     @property
     def decimation(self) -> int:

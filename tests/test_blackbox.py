@@ -7,7 +7,7 @@ from repro.flow.blackbox import (
     BlackBoxFrontend,
     extract_blackbox,
 )
-from repro.flow.cosim import cascade_noise_figure_db
+from repro.rf.cascade import friis_noise_figure_db, frontend_stages
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
 from repro.rf.signal import Signal, dbm_to_watts
 
@@ -20,7 +20,7 @@ def surrogate():
 class TestExtraction:
     def test_noise_figure_close_to_friis(self, surrogate):
         measured = surrogate.characterization.noise_figure_db
-        friis = cascade_noise_figure_db(FrontendConfig())
+        friis = friis_noise_figure_db(frontend_stages(FrontendConfig()))
         # Flicker noise and DC add a little on top of the Friis cascade.
         assert friis - 0.5 < measured < friis + 2.0
 

@@ -8,8 +8,8 @@ from repro.flow.cosim import (
     CoSimConfig,
     CoSimulation,
     InterpretedFrontend,
-    cascade_noise_figure_db,
 )
+from repro.rf.cascade import friis_noise_figure_db, frontend_stages
 from repro.rf.frontend import FrontendConfig, ideal_frontend_config
 from repro.rf.signal import Signal, dbm_to_watts
 
@@ -17,12 +17,13 @@ from repro.rf.signal import Signal, dbm_to_watts
 class TestCascadeNf:
     def test_friis_dominated_by_first_stage(self):
         cfg = FrontendConfig(lna_nf_db=3.0, lna_gain_db=16.0)
-        total = cascade_noise_figure_db(cfg)
+        total = friis_noise_figure_db(frontend_stages(cfg))
         assert 3.0 < total < 5.0
 
     def test_zero_everything(self):
         cfg = FrontendConfig(lna_nf_db=0.0, mixer1_nf_db=0.0, mixer2_nf_db=0.0)
-        assert cascade_noise_figure_db(cfg) == pytest.approx(0.0)
+        total = friis_noise_figure_db(frontend_stages(cfg))
+        assert total == pytest.approx(0.0)
 
 
 class TestInterpretedFrontend:

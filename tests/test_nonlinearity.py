@@ -7,10 +7,10 @@ from repro.rf.nonlinearity import (
     CubicNonlinearity,
     P1DB_IIP3_OFFSET_DB,
     RappNonlinearity,
-    effective_iip3_cascade_dbm,
     iip3_from_p1db,
     p1db_from_iip3,
 )
+from repro.rf.cascade import StageSpec, cascade_iip3_dbm
 from repro.rf.signal import dbm_to_watts
 
 
@@ -109,18 +109,25 @@ class TestRappNonlinearity:
         assert not y.any()
 
 
+def _lineup(*gain_iip3):
+    return [
+        StageSpec(f"s{i}", g, iip3_dbm=p)
+        for i, (g, p) in enumerate(gain_iip3)
+    ]
+
+
 class TestCascadeIip3:
     def test_single_stage(self):
-        assert effective_iip3_cascade_dbm([(10.0, 0.0)]) == pytest.approx(0.0)
+        assert cascade_iip3_dbm(_lineup((10.0, 0.0))) == pytest.approx(0.0)
 
     def test_second_stage_dominates_with_gain(self):
         # 20 dB gain in front of a 10 dBm-IIP3 stage: cascade ~ -10 dBm.
-        total = effective_iip3_cascade_dbm([(20.0, 100.0), (0.0, 10.0)])
+        total = cascade_iip3_dbm(_lineup((20.0, 100.0), (0.0, 10.0)))
         assert total == pytest.approx(-10.0, abs=0.1)
 
     def test_cascade_below_best_stage(self):
-        total = effective_iip3_cascade_dbm([(10.0, 0.0), (10.0, 10.0)])
+        total = cascade_iip3_dbm(_lineup((10.0, 0.0), (10.0, 10.0)))
         assert total < 0.0
 
     def test_empty_cascade(self):
-        assert effective_iip3_cascade_dbm([]) == np.inf
+        assert cascade_iip3_dbm([]) == np.inf

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.budget import CascadeAnalysis, Stage
 from repro.dsp.mac import MacFrame, parse_mpdu
 from repro.flow.netlist import (
     NetlistError,
     frontend_to_netlist,
     netlist_to_config,
     parse_netlist,
+)
+from repro.rf.cascade import (
+    StageSpec,
+    cascade_gain_db,
+    cascade_iip3_dbm,
+    friis_noise_figure_db,
 )
 from repro.rf.frontend import FrontendConfig
 
@@ -61,10 +66,9 @@ class TestBudgetProperties:
     def test_cascade_nf_at_least_first_stage(self, gains, nfs):
         n = min(len(gains), len(nfs))
         stages = [
-            Stage(f"s{i}", gains[i], nfs[i]) for i in range(n)
+            StageSpec(f"s{i}", gains[i], nfs[i]) for i in range(n)
         ]
-        analysis = CascadeAnalysis(stages)
-        assert analysis.total_nf_db >= nfs[0] - 1e-9
+        assert friis_noise_figure_db(stages) >= nfs[0] - 1e-9
 
     @given(
         gains=st.lists(st.floats(-5.0, 25.0), min_size=2, max_size=5),
@@ -73,9 +77,10 @@ class TestBudgetProperties:
     @settings(max_examples=60, deadline=None)
     def test_cumulative_nf_monotone(self, gains, nfs):
         n = min(len(gains), len(nfs))
-        stages = [Stage(f"s{i}", gains[i], nfs[i]) for i in range(n)]
-        rows = CascadeAnalysis(stages).rows()
-        nf_values = [r.cumulative_nf_db for r in rows]
+        stages = [StageSpec(f"s{i}", gains[i], nfs[i]) for i in range(n)]
+        nf_values = [
+            friis_noise_figure_db(stages[:k]) for k in range(1, n + 1)
+        ]
         for earlier, later in zip(nf_values, nf_values[1:]):
             assert later >= earlier - 1e-9
 
@@ -85,8 +90,36 @@ class TestBudgetProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_single_stage_identity(self, gain, iip3):
-        a = CascadeAnalysis([Stage("x", gain, 0.0, iip3)])
-        assert a.total_iip3_dbm == pytest.approx(iip3, abs=1e-6)
+        stages = [StageSpec("x", gain, 0.0, iip3)]
+        assert cascade_iip3_dbm(stages) == pytest.approx(iip3, abs=1e-6)
+
+    @given(
+        gains=st.lists(st.floats(-5.0, 25.0), min_size=1, max_size=5),
+        nfs=st.lists(st.floats(0.0, 15.0), min_size=1, max_size=5),
+        iip3s=st.lists(
+            st.one_of(st.floats(-30.0, 30.0), st.just(np.inf)),
+            min_size=1, max_size=5,
+        ),
+        position=st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ideal_stage_insertion_is_neutral(
+        self, gains, nfs, iip3s, position
+    ):
+        """A noiseless, linear, zero-gain stage changes no cascade figure.
+
+        This is why a mixer's nonlinearity may be budgeted as its own
+        zero-gain stage after the conversion gain.
+        """
+        n = min(len(gains), len(nfs), len(iip3s))
+        stages = [
+            StageSpec(f"s{i}", gains[i], nfs[i], iip3s[i]) for i in range(n)
+        ]
+        k = min(position, n)
+        padded = stages[:k] + [StageSpec("ideal", 0.0)] + stages[k:]
+        assert cascade_gain_db(padded) == cascade_gain_db(stages)
+        assert friis_noise_figure_db(padded) == friis_noise_figure_db(stages)
+        assert cascade_iip3_dbm(padded) == cascade_iip3_dbm(stages)
 
 
 class TestNetlistFuzz:

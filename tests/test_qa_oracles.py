@@ -138,6 +138,15 @@ class TestCascadeOracle:
         assert check.expected == pytest.approx(expected, abs=0.05)
         assert abs(check.measured - check.expected) <= tol
 
+    def test_link_budget_iip3_matches_characterize(self, checks):
+        """The user-facing line-up budget agrees with the measurement."""
+        from repro.rf import FrontendConfig, cascade_iip3_dbm, frontend_stages
+
+        budget = cascade_iip3_dbm(frontend_stages(FrontendConfig()))
+        measured = checks["cascade_iip3_dbm"].measured
+        tol = oracles.CASCADE_TOLERANCES_DB["iip3"]
+        assert abs(budget - measured) <= tol
+
 
 class TestCascadeFormulas:
     def test_friis_single_stage(self):
