@@ -14,10 +14,13 @@ serial vs ``jobs=2`` and ``jobs=4``), the signal-probe overhead
 benchmark (:mod:`benchmarks.bench_probes`: off vs basic vs full
 presets), the batched PHY-engine throughput benchmark
 (:mod:`benchmarks.bench_phy_throughput`: packets/s per rate and batch
-size, KPI-identity checked against serial) and the filter-design cost
+size, KPI-identity checked against serial), the filter-design cost
 benchmark (:mod:`benchmarks.bench_filter_design`: fig5 CPU ms and scipy
-designs per steady-state packet) and writes their combined document
-there.
+designs per steady-state packet) and the Viterbi cost benchmark
+(:mod:`benchmarks.bench_viterbi`: µs per trellis step against row
+count, bit-identity checked against the reference decoder) and writes
+their combined document there.  It exits 1 if parallel results diverge
+from serial or a Viterbi decode diverges from the reference.
 
 Usage::
 
@@ -175,6 +178,7 @@ def main(argv=None) -> int:
         from bench_parallel_scaling import run_scaling, warn_if_single_core
         from bench_phy_throughput import run_phy_throughput
         from bench_probes import run_probe_overhead
+        from bench_viterbi import run_viterbi
 
         perf_doc = run_scaling(packets=args.packets)
         perf_doc["probes"] = run_probe_overhead(packets=args.packets)
@@ -184,6 +188,7 @@ def main(argv=None) -> int:
         perf_doc["filter_design"] = run_filter_design(
             packets=max(32, 16 * args.packets)
         )
+        perf_doc["viterbi"] = run_viterbi()
         perf_doc["single_core_recording"] = warn_if_single_core(perf_doc)
         perf_out = Path(args.perf_out)
         perf_out.write_text(
@@ -194,6 +199,10 @@ def main(argv=None) -> int:
             e["identical_to_serial"] for e in perf_doc["scaling"]
         ):
             print("ERROR: parallel results diverged from serial",
+                  file=sys.stderr)
+            return 1
+        if not perf_doc["viterbi"]["identical_to_reference"]:
+            print("ERROR: Viterbi decode diverged from the reference",
                   file=sys.stderr)
             return 1
     return 0

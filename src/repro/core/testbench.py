@@ -27,6 +27,7 @@ from repro.core.metrics import (
     error_vector_magnitude,
 )
 from repro.dsp.designs import resample_window
+from repro.dsp.params import MAX_PSDU_BYTES, RATES
 from repro.dsp.receiver import Receiver, RxConfig, RxResult
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
@@ -148,9 +149,11 @@ class TestbenchConfig:
             end, whose group delay requires real synchronization).
 
     Raises:
-        ValueError: when both ``interference`` and ``scenario`` are
-            given, or when the front end's envelope rate is too narrow
-            for a scenario emitter.
+        ValueError: when ``rate_mbps`` is not an 802.11a rate,
+            ``psdu_bytes`` is outside ``1..MAX_PSDU_BYTES``,
+            ``guard_samples`` is negative, both ``interference`` and
+            ``scenario`` are given, or the front end's envelope rate is
+            too narrow for a scenario emitter.
     """
 
     rate_mbps: int = 24
@@ -168,6 +171,20 @@ class TestbenchConfig:
     __test__ = False
 
     def __post_init__(self, interference):
+        if self.rate_mbps not in RATES:
+            raise ValueError(
+                f"rate_mbps {self.rate_mbps!r} is not an 802.11a rate "
+                f"({', '.join(map(str, RATES))})"
+            )
+        if not 1 <= self.psdu_bytes <= MAX_PSDU_BYTES:
+            raise ValueError(
+                f"psdu_bytes {self.psdu_bytes!r} outside "
+                f"1..{MAX_PSDU_BYTES}"
+            )
+        if self.guard_samples < 0:
+            raise ValueError(
+                f"guard_samples {self.guard_samples!r} is negative"
+            )
         if interference is not None:
             if self.scenario != Scenario():
                 raise ValueError(
@@ -364,8 +381,6 @@ class WlanTestbench:
     def _tap_evm(self, probes, result: RxResult, tx_symbols, probe_tag):
         """Fire the equalizer-output EVM probe for one decoded packet."""
         if probes.enabled and result.data_symbols is not None:
-            from repro.dsp.params import RATES
-
             rx = np.asarray(result.data_symbols).reshape(-1)
             ref = tx_symbols.reshape(-1)
             n = min(rx.size, ref.size)

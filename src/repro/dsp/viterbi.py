@@ -18,6 +18,11 @@ from repro.dsp.convcode import CONSTRAINT_LENGTH, G0, G1
 
 _N_STATES = 1 << (CONSTRAINT_LENGTH - 1)
 
+#: Largest row count whose traceback walks each row in plain Python; above
+#: it the vectorized walk is faster.  Chosen from the ``viterbi`` row of
+#: ``BENCH_perf.json`` (``benchmarks/bench_viterbi.py``).
+_TRACEBACK_ROW_CUTOVER = 16
+
 
 def _build_trellis():
     """Precompute next-state and output tables.
@@ -156,62 +161,111 @@ class ViterbiDecoder:
 
     def _decode_rows(self, llr_rows: np.ndarray) -> np.ndarray:
         """Batched ACS recursion + traceback over ``(n_rows, n_llr)``."""
+        decisions, metrics = _acs(llr_rows)
         n_rows = llr_rows.shape[0]
-        n_steps = llr_rows.shape[1] // 2
-        # (n_steps, n_rows) layout keeps each trellis step contiguous.
-        la = np.ascontiguousarray(llr_rows[:, 0::2].T)
-        lb = np.ascontiguousarray(llr_rows[:, 1::2].T)
-
-        # Path metric: higher is better.  Branch metric for coded bit c with
-        # LLR l is +l/2 if c == 0 else -l/2; we drop the 1/2 scale.  Every
-        # branch metric is ±la ± lb, so build the four distinct values per
-        # (step, row) and gather the full (n_steps, n_rows, 64, 2) tensor in
-        # one indexed read — bit-exact with the per-branch multiply/add form
-        # (see :func:`branch_codes`).
-        four = np.empty((n_steps, n_rows, 4))
-        np.add(la, lb, out=four[:, :, 0])
-        np.subtract(la, lb, out=four[:, :, 1])
-        np.subtract(lb, la, out=four[:, :, 2])
-        np.negative(four[:, :, 0], out=four[:, :, 3])
-        # View the branches as (slot-of-32-pairs, prev-pair, slot): because
-        # _PREV_STATE[ns] = [2*(ns & 31), 2*(ns & 31) + 1], the candidate
-        # gather metrics[:, _PREV_STATE] is just metrics viewed as
-        # (n_rows, 32, 2) broadcast over the two halves of the state space —
-        # no fancy indexing inside the loop.
-        br = four[:, :, branch_codes()].reshape(n_steps, n_rows, 2, 32, 2)
-
-        metrics = np.full((n_rows, _N_STATES), -np.inf)
-        metrics[:, 0] = 0.0
-        decisions = np.empty((n_steps, n_rows, _N_STATES), dtype=np.uint8)
-        # np.greater writes decisions straight into the uint8 buffer through
-        # a bool view; traceback below reads it back as integers.
-        dec_bool = decisions.view(bool)
-        cand = np.empty((n_rows, 2, 32, 2))
-        new_metrics = np.empty((n_rows, _N_STATES))
-
-        for t in range(n_steps):
-            np.add(metrics.reshape(n_rows, 1, 32, 2), br[t], out=cand)
-            c0 = cand[..., 0].reshape(n_rows, _N_STATES)
-            c1 = cand[..., 1].reshape(n_rows, _N_STATES)
-            # argmax over the slot axis with first-max tie-break == "slot 1
-            # strictly better".  maximum() agrees with the picked candidate
-            # except possibly the sign of a ±0.0 tie, which no comparison or
-            # argmax downstream can distinguish.
-            np.greater(c1, c0, out=dec_bool[t])
-            np.maximum(c0, c1, out=new_metrics)
-            metrics, new_metrics = new_metrics, metrics
-
         if self.terminated:
             state = np.zeros(n_rows, dtype=np.int64)
         else:
             state = np.argmax(metrics, axis=1)
-        bits = np.empty((n_rows, n_steps), dtype=np.uint8)
-        row_idx = np.arange(n_rows)
+        if n_rows <= _TRACEBACK_ROW_CUTOVER:
+            return _traceback_per_row(decisions, state)
+        return _traceback_vectorized(decisions, state)
+
+
+def _acs(llr_rows: np.ndarray):
+    """Batched add-compare-select over ``(n_rows, n_llr)`` LLR rows.
+
+    Returns:
+        ``(decisions, metrics)``: the ``(n_steps, n_rows, 64)`` uint8
+        survivor slots (1 where slot 1 won) and the final
+        ``(n_rows, 64)`` path metrics.
+    """
+    n_rows = llr_rows.shape[0]
+    n_steps = llr_rows.shape[1] // 2
+    # (n_steps, n_rows) layout keeps each trellis step contiguous.
+    la = np.ascontiguousarray(llr_rows[:, 0::2].T)
+    lb = np.ascontiguousarray(llr_rows[:, 1::2].T)
+
+    # Path metric: higher is better.  Branch metric for coded bit c with
+    # LLR l is +l/2 if c == 0 else -l/2; we drop the 1/2 scale.  Every
+    # branch metric is ±la ± lb, so build the four distinct values per
+    # (step, row) and gather the full (n_steps, n_rows, 64, 2) tensor in
+    # one indexed read — bit-exact with the per-branch multiply/add form
+    # (see :func:`branch_codes`).
+    four = np.empty((n_steps, n_rows, 4))
+    np.add(la, lb, out=four[:, :, 0])
+    np.subtract(la, lb, out=four[:, :, 1])
+    np.subtract(lb, la, out=four[:, :, 2])
+    np.negative(four[:, :, 0], out=four[:, :, 3])
+    # View the branches as (slot-of-32-pairs, prev-pair, slot): because
+    # _PREV_STATE[ns] = [2*(ns & 31), 2*(ns & 31) + 1], the candidate
+    # gather metrics[:, _PREV_STATE] is just metrics viewed as
+    # (n_rows, 32, 2) broadcast over the two halves of the state space —
+    # no fancy indexing inside the loop.
+    br = four[:, :, branch_codes()].reshape(n_steps, n_rows, 2, 32, 2)
+
+    # Two metric buffers, read and written alternately: step t reads
+    # buffer t & 1 and writes the other.  Every view the loop touches is
+    # built here once, so each step is three ufunc calls.
+    metrics = np.full((2, n_rows, _N_STATES), -np.inf)
+    metrics[0, :, 0] = 0.0
+    flat = (metrics[0], metrics[1])
+    pairs = tuple(m.reshape(n_rows, 1, 32, 2) for m in flat)
+    decisions = np.empty((n_steps, n_rows, _N_STATES), dtype=np.uint8)
+    # np.greater writes decisions straight into the uint8 buffer through
+    # a bool view; traceback reads it back as integers.
+    dec_bool = decisions.view(bool)
+    cand = np.empty((n_rows, 2, 32, 2))
+    c0 = cand[..., 0].reshape(n_rows, _N_STATES)
+    c1 = cand[..., 1].reshape(n_rows, _N_STATES)
+    add, greater, maximum = np.add, np.greater, np.maximum
+
+    for t, (br_t, dec_t) in enumerate(zip(br, dec_bool)):
+        add(pairs[t & 1], br_t, out=cand)
+        # argmax over the slot axis with first-max tie-break == "slot 1
+        # strictly better".  maximum() agrees with the picked candidate
+        # except possibly the sign of a ±0.0 tie, which no comparison or
+        # argmax downstream can distinguish.
+        greater(c1, c0, out=dec_t)
+        maximum(c0, c1, out=flat[(t + 1) & 1])
+    return decisions, flat[n_steps & 1]
+
+
+# Both tracebacks use the closed form asserted above: the input bit is the
+# state's MSB independent of slot, and the predecessor is
+# 2*(state & 31) + slot.
+
+
+def _traceback_per_row(
+    decisions: np.ndarray, state: np.ndarray
+) -> np.ndarray:
+    """Trace each row back in plain Python over its decision bytes.
+
+    Cheaper than :func:`_traceback_vectorized` at small row counts, where
+    the per-step cost of numpy calls outweighs walking rows one by one.
+    """
+    n_steps, n_rows, _ = decisions.shape
+    bits = np.empty((n_rows, n_steps), dtype=np.uint8)
+    out = [0] * n_steps
+    for r, s in enumerate(state.tolist()):
+        # Step t's decision for state s sits at byte (t << 6) + s.
+        dec = decisions[:, r, :].tobytes()
         for t in range(n_steps - 1, -1, -1):
-            # Closed-form traceback (asserted above): the input bit is the
-            # state's MSB independent of slot, and the predecessor is
-            # 2*(state & 31) + slot.
-            bits[:, t] = state >> 5
-            slot = decisions[t, row_idx, state]
-            state = ((state & 31) << 1) + slot
-        return bits
+            out[t] = s >> 5
+            s = ((s & 31) << 1) + dec[(t << 6) + s]
+        bits[r] = out
+    return bits
+
+
+def _traceback_vectorized(
+    decisions: np.ndarray, state: np.ndarray
+) -> np.ndarray:
+    """Trace every row back at once, one numpy gather per step."""
+    n_steps, n_rows, _ = decisions.shape
+    bits = np.empty((n_rows, n_steps), dtype=np.uint8)
+    row_idx = np.arange(n_rows)
+    for t in range(n_steps - 1, -1, -1):
+        bits[:, t] = state >> 5
+        slot = decisions[t, row_idx, state]
+        state = ((state & 31) << 1) + slot
+    return bits

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.core.sweep import ParameterSweep, SimulationManager, SweepResult
 from repro.core.testbench import TestbenchConfig
 from repro.rf.frontend import FrontendConfig
@@ -61,6 +62,20 @@ class TestParameterSweep:
             n_packets=1,
         )
         with pytest.raises(AttributeError):
+            sweep.run()
+
+    def test_invalid_point_raises_before_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("parallel_map reached")
+
+        monkeypatch.setattr(perf, "parallel_map", no_pool)
+        sweep = ParameterSweep(
+            base_config=_dsp_config(),
+            parameter="psdu_bytes",
+            values=[60, 0],
+            n_packets=1,
+        )
+        with pytest.raises(ValueError, match="psdu_bytes"):
             sweep.run()
 
     def test_progress_callback(self):

@@ -151,3 +151,25 @@ class TestRfBench:
     def test_interference_scenario_none_native_rate(self):
         tb = WlanTestbench(TestbenchConfig(rate_mbps=24, snr_db=20.0))
         assert tb.oversample == 1
+
+
+class TestConfigValidation:
+    """Invalid traffic fails when the config is built, not at a packet."""
+
+    @pytest.mark.parametrize("rate", [7, 0, 11])
+    def test_unknown_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate_mbps"):
+            TestbenchConfig(rate_mbps=rate)
+
+    @pytest.mark.parametrize("length", [0, -1, 4096, 5000])
+    def test_psdu_length_out_of_range_rejected(self, length):
+        with pytest.raises(ValueError, match="psdu_bytes"):
+            TestbenchConfig(psdu_bytes=length)
+
+    def test_negative_guard_rejected(self):
+        with pytest.raises(ValueError, match="guard_samples"):
+            TestbenchConfig(guard_samples=-1)
+
+    def test_limits_accepted(self):
+        TestbenchConfig(rate_mbps=6, psdu_bytes=1, guard_samples=0)
+        TestbenchConfig(rate_mbps=54, psdu_bytes=4095)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dsp.convcode import ConvolutionalEncoder, depuncture, puncture
-from repro.dsp.viterbi import ViterbiDecoder
+from repro.dsp.viterbi import _TRACEBACK_ROW_CUTOVER, ViterbiDecoder
 
 
 def _encode_terminated(bits):
@@ -160,6 +160,49 @@ class TestVectorizedBranchMetrics:
         got = ViterbiDecoder(terminated=terminated).decode_soft(llr)
         want = _reference_decode_soft(llr, terminated=terminated)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("first_kind", [0, 1, 2])
+    @pytest.mark.parametrize("n_steps", [0, 1, 24, 246])
+    @pytest.mark.parametrize("terminated", [True, False])
+    @pytest.mark.parametrize(
+        "n_rows",
+        [1, 2, _TRACEBACK_ROW_CUTOVER, _TRACEBACK_ROW_CUTOVER + 1, 32],
+    )
+    def test_rows_bit_exact_vs_reference(
+        self, n_rows, terminated, n_steps, first_kind
+    ):
+        # Both tracebacks (per-row Python walk up to the cut-over, the
+        # vectorized one above it) must match the per-step oracle on
+        # every row.  Row r is of kind (first_kind + r) % 3: noisy soft
+        # LLRs with erasures, integer-valued LLRs (exact path-metric
+        # ties), or all erasures.
+        rng = np.random.default_rng([n_rows, n_steps, first_kind])
+        llr = np.empty((n_rows, 2 * n_steps))
+        for r in range(n_rows):
+            kind = (first_kind + r) % 3
+            if kind == 0:
+                _, coded = _encode_terminated(
+                    rng.integers(0, 2, n_steps, dtype=np.uint8)
+                )
+                row = (1.0 - 2.0 * coded[: 2 * n_steps]) * 2.0
+                row += rng.normal(0.0, 2.0, row.size)
+                row[rng.integers(0, max(row.size, 1), row.size // 8)] = 0.0
+            elif kind == 1:
+                row = rng.integers(-2, 3, 2 * n_steps).astype(float)
+            else:
+                row = np.zeros(2 * n_steps)
+            llr[r] = row
+        decoder = ViterbiDecoder(terminated=terminated)
+        got = decoder.decode_soft(llr)
+        assert got.dtype == np.uint8
+        assert got.shape == (n_rows, n_steps)
+        for r in range(n_rows):
+            want = _reference_decode_soft(llr[r], terminated=terminated)
+            assert np.array_equal(got[r], want), f"row {r}"
+        single = decoder.decode_soft(llr[0])
+        assert single.dtype == np.uint8
+        assert single.shape == (n_steps,)
+        assert np.array_equal(single, got[0])
 
     def test_bit_exact_on_hard_input(self):
         rng = np.random.default_rng(9)
