@@ -261,11 +261,8 @@ def _cmd_profile(args) -> int:
     # the profile and the trace file see the same spans.
     active = obs.get_tracer()
     tracer = active if active.enabled else obs.Tracer()
-    previous = obs.set_tracer(tracer)
-    try:
+    with obs.installed(tracer=tracer):
         code = inner.func(inner)
-    finally:
-        obs.set_tracer(previous)
 
     rows = obs.profile_rows(tracer.records, prefix="block:")
     print()
@@ -842,8 +839,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="packets evaluated per stacked PHY-chain pass inside a "
-             "packet chunk (default 1, i.e. groups of one packet); any "
-             "batch size is bit-identical — it only changes throughput",
+             "packet chunk (default 1, i.e. groups of one packet); "
+             "results are bit-identical at any batch size unless an "
+             "early-stop bit-error threshold is set, which is checked "
+             "at chunk boundaries (a chunk is one batch)",
     )
     parser.add_argument(
         "--memoize",
@@ -1284,16 +1283,9 @@ def _run_observed(args, argv) -> int:
         monitor.open_spool(
             Path(args.store) / "live" / f"{args.command}.jsonl"
         )
-    previous_tracer = obs.set_tracer(tracer)
-    previous_registry = obs.set_registry(registry)
-    previous_writer = obs.set_current_writer(writer)
-    try:
+    with obs.installed(tracer=tracer, registry=registry, writer=writer):
         with tracer.span(f"run:{args.command}"):
             code = args.func(args)
-    finally:
-        obs.set_tracer(previous_tracer)
-        obs.set_registry(previous_registry)
-        obs.set_current_writer(previous_writer)
     probes = obs.get_probes()
     if probes.enabled and probes.has_data():
         probes.emit_metrics(registry)
@@ -1351,6 +1343,20 @@ def _normalize_probe_flag(argv: List[str]) -> List[str]:
     return out
 
 
+def _run_settings(args) -> dict:
+    """The ``RunContext`` fields the execution flags set (unset omitted)."""
+    from repro import perf
+
+    settings = dict(
+        jobs=args.jobs, batch_size=args.batch_size, retries=args.retries,
+        task_timeout=args.task_timeout, memoize=args.memoize or None,
+        resume=args.resume or None,
+        fault_plan=(perf.parse_fault_spec(args.inject_faults)
+                    if args.inject_faults else None),
+    )
+    return {k: v for k, v in settings.items() if v is not None}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     from repro import perf
@@ -1364,105 +1370,51 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Store consumers (runs/report) read run directories; they never
         # trace or persist themselves.
         return args.func(args)
-    previous_jobs = None
-    previous_memoize = None
-    previous_retries = None
-    previous_timeout = None
-    previous_resume = None
-    previous_plan = None
-    previous_probes = None
-    installed_plan = False
-    installed_probes = False
+    from repro import obs
+
+    sinks = {}
     probe_preset_name = args.probes
     if args.command == "probe" and probe_preset_name is None:
         probe_preset_name = args.preset
     if probe_preset_name is not None:
-        from repro import obs
-
-        previous_probes = obs.set_probes(
-            obs.ProbeRegistry(obs.probe_preset(probe_preset_name))
+        sinks["probes"] = obs.ProbeRegistry(
+            obs.probe_preset(probe_preset_name)
         )
-        installed_probes = True
-    if args.jobs is not None:
-        previous_jobs = perf.set_default_jobs(args.jobs)
-    previous_batch = None
-    if args.batch_size is not None:
-        previous_batch = perf.set_default_batch_size(args.batch_size)
-    if args.memoize:
-        previous_memoize = perf.set_default_memoize(True)
-    if args.retries is not None:
-        previous_retries = perf.set_default_retries(args.retries)
-    if args.task_timeout is not None:
-        previous_timeout = perf.set_default_task_timeout(args.task_timeout)
-    if args.resume:
-        previous_resume = perf.set_default_resume(True)
-    if args.inject_faults:
-        previous_plan = perf.set_fault_plan(
-            perf.parse_fault_spec(args.inject_faults)
-        )
-        installed_plan = True
     live_requested = bool(
         args.live or args.metrics_port is not None or args.openmetrics
     )
     monitor = None
     dashboard = None
-    server = None
-    previous_monitor = None
-    installed_monitor = False
     if live_requested:
-        from repro import obs
-
-        monitor = obs.LiveMonitor()
+        monitor = sinks["live_monitor"] = obs.LiveMonitor()
         if args.live:
             dashboard = obs.LiveDashboard()
             monitor.on_update = dashboard.on_update
-        previous_monitor = obs.set_live_monitor(monitor)
-        installed_monitor = True
-        if args.metrics_port is not None:
-            server = obs.MetricsServer(port=args.metrics_port).start()
-            print(f"live metrics: {server.url}", file=sys.stderr)
-    try:
-        if args.trace or args.metrics or args.store or live_requested:
-            return _run_observed(args, argv)
-        return args.func(args)
-    except perf.InjectedFault as exc:
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return 70
-    except perf.TaskFailedError as exc:
-        print(exc.error.traceback, file=sys.stderr, end="")
-        print(f"task failed after retries: {exc}", file=sys.stderr)
-        return 71
-    finally:
-        if server is not None:
-            server.stop()
-        if dashboard is not None and monitor is not None:
-            dashboard.final(monitor)
-        if monitor is not None:
-            # No-op on a clean run (the spool was already removed);
-            # flushes and keeps the spool after an abort.
-            monitor.close_spool()
-        if installed_monitor:
-            from repro import obs
-
-            obs.set_live_monitor(previous_monitor)
-        if previous_jobs is not None:
-            perf.set_default_jobs(previous_jobs)
-        if previous_batch is not None:
-            perf.set_default_batch_size(previous_batch)
-        if previous_memoize is not None:
-            perf.set_default_memoize(previous_memoize)
-        if previous_retries is not None:
-            perf.set_default_retries(previous_retries)
-        if previous_timeout is not None:
-            perf.set_default_task_timeout(previous_timeout)
-        if previous_resume is not None:
-            perf.set_default_resume(previous_resume)
-        if installed_plan:
-            perf.set_fault_plan(previous_plan)
-        if installed_probes:
-            from repro import obs
-
-            obs.set_probes(previous_probes)
+    server = None
+    with perf.use_context(**_run_settings(args)), obs.installed(**sinks):
+        try:
+            if args.metrics_port is not None:
+                server = obs.MetricsServer(port=args.metrics_port).start()
+                print(f"live metrics: {server.url}", file=sys.stderr)
+            if args.trace or args.metrics or args.store or live_requested:
+                return _run_observed(args, argv)
+            return args.func(args)
+        except perf.InjectedFault as exc:
+            print(f"interrupted: {exc}", file=sys.stderr)
+            return 70
+        except perf.TaskFailedError as exc:
+            print(exc.error.traceback, file=sys.stderr, end="")
+            print(f"task failed after retries: {exc}", file=sys.stderr)
+            return 71
+        finally:
+            if server is not None:
+                server.stop()
+            if dashboard is not None:
+                dashboard.final(monitor)
+            if monitor is not None:
+                # No-op on a clean run (the spool was already removed);
+                # flushes and keeps the spool after an abort.
+                monitor.close_spool()
 
 
 if __name__ == "__main__":

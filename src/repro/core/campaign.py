@@ -450,7 +450,7 @@ class VerificationCampaign:
         """
         emit = obs.as_listener(progress)
         if resume is None:
-            resume = perf.get_default_resume()
+            resume = perf.current_context().resume
         ckpt_store = self._checkpoint_store(store) if resume else None
         selected = [
             name for name in self.CHECKS

@@ -46,7 +46,8 @@ def _sweep_point_task(payload):
 
 def _point_memo_key(config, n_packets, seed, index, max_bit_errors,
                     estimator: str = "mc",
-                    boost_db: Optional[float] = None) -> str:
+                    boost_db: Optional[float] = None,
+                    batch_size: int = 1) -> str:
     """Content hash identifying one sweep point's full measurement setup.
 
     The seed enters through :func:`repro.perf.seed_fingerprint` (root
@@ -57,7 +58,10 @@ def _point_memo_key(config, n_packets, seed, index, max_bit_errors,
     Importance-sampled points key on their estimator and resolved
     proposal boost as well; plain Monte-Carlo points keep the legacy
     key payload, so caches written before the estimator existed stay
-    valid.
+    valid.  Likewise only early-stopped points (``max_bit_errors``
+    set) key on the resolved batch size: the stop is evaluated at
+    chunk boundaries and a chunk is one batch, so their estimate
+    depends on it.
     """
     payload = {
         "config": config,
@@ -70,6 +74,8 @@ def _point_memo_key(config, n_packets, seed, index, max_bit_errors,
     if estimator != "mc":
         payload["estimator"] = estimator
         payload["boost_db"] = boost_db
+    if max_bit_errors is not None:
+        payload["batch_size"] = batch_size
     return obs.config_key(payload)
 
 
@@ -384,7 +390,7 @@ class ParameterSweep:
         cache again — the surviving prefix loads, the tail runs live.
         """
         if memoize is None:
-            memoize = perf.get_default_memoize()
+            memoize = perf.current_context().memoize
         if resume:
             memoize = True
         if not memoize:
@@ -445,7 +451,7 @@ class ParameterSweep:
         """
         emit = obs.as_listener(progress)
         if resume is None:
-            resume = perf.get_default_resume()
+            resume = perf.current_context().resume
         memo_store = self._memo_store(store, memoize, resume=resume)
         children = perf.spawn(self.seed, len(self.values))
         measurements: List[Optional[BerMeasurement]] = (
@@ -506,6 +512,7 @@ class ParameterSweep:
                         config, self.n_packets, children[i], i,
                         self.max_bit_errors,
                         estimator=plan[0], boost_db=plan[1],
+                        batch_size=perf.resolve_batch_size(None),
                     )
                     cached = _load_memoized_point(memo_store, key)
                     if cached is not None:
@@ -552,40 +559,6 @@ class ParameterSweep:
         if not perf.in_worker():
             self._persist(result, store, run_name)
         return result
-
-    def run_adaptive(
-        self,
-        total_packets: int,
-        initial_packets: Optional[int] = None,
-        block: Optional[int] = None,
-        jobs: Optional[int] = None,
-        progress: Optional[Callable] = None,
-        store=None,
-        run_name: Optional[str] = None,
-        z: float = 1.96,
-        batch_size: Optional[int] = None,
-    ) -> SweepResult:
-        """Run with a shared packet budget allocated where the CI is widest.
-
-        Delegates to :func:`repro.perf.rare.run_adaptive_sweep`: after a
-        uniform warm-up, each round's packets go to the point whose
-        relative confidence width (Wilson for MC points, the weighted
-        interval for IS points) is currently largest.
-        """
-        from repro.perf import rare as _rare
-
-        return _rare.run_adaptive_sweep(
-            self,
-            total_packets,
-            initial_packets=initial_packets,
-            block=block,
-            jobs=jobs,
-            progress=progress,
-            store=store,
-            run_name=run_name,
-            z=z,
-            batch_size=batch_size,
-        )
 
     def _persist(self, result: SweepResult, store, run_name: Optional[str]):
         """Contribute the sweep's artefacts to the store in scope.

@@ -533,8 +533,10 @@ class WlanTestbench:
             batch_size: packets evaluated per stacked PHY-chain pass
                 inside a chunk; None defers to the ambient
                 ``--batch-size`` default (1 = the same engine run in
-                groups of one).  Any batch size is bit-identical — it
-                only changes throughput.
+                groups of one).  Results are bit-identical at every
+                batch size unless ``max_bit_errors`` is set: the stop
+                is evaluated at chunk boundaries, and ``chunk_size``
+                defaults to the batch size.
             retries: per-chunk retry budget on task failure (each
                 attempt replays the chunk's own seed children, so a
                 retried measurement is bit-identical to a clean one);

@@ -20,11 +20,8 @@ Typical producer code::
 Typical consumer code::
 
     tracer = obs.Tracer()
-    previous = obs.set_tracer(tracer)
-    try:
+    with obs.installed(tracer=tracer):
         run_experiment()
-    finally:
-        obs.set_tracer(previous)
     tracer.write_jsonl("run.jsonl", header=obs.build_manifest().as_dict())
 """
 
@@ -33,6 +30,14 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from repro.obs.capture import (
+    CaptureSpec,
+    Captured,
+    capture,
+    capture_spec,
+    installed,
+    merge_captured,
+)
 from repro.obs.manifest import (
     SEEDING_SCHEME,
     RunManifest,
@@ -113,6 +118,8 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
+    "CaptureSpec",
+    "Captured",
     "ConvergenceConfig",
     "Counter",
     "Delta",
@@ -144,6 +151,8 @@ __all__ = [
     "aggregate_spans",
     "as_listener",
     "build_manifest",
+    "capture",
+    "capture_spec",
     "chrome_trace",
     "classify_point",
     "compare_runs",
@@ -156,10 +165,12 @@ __all__ = [
     "get_probes",
     "get_registry",
     "get_tracer",
+    "installed",
     "kpi_trend",
     "live_note_region",
     "live_note_task",
     "live_suspended",
+    "merge_captured",
     "openmetrics_text",
     "parse_openmetrics",
     "printer",

@@ -38,10 +38,9 @@ Determinism contract (the same one the probe layer honours):
   bits/second — live only in the in-memory snapshot and in ``live_*``
   gauges, which :class:`repro.obs.RegressionConfig` ignores by default.
 * Serial and ``--jobs N`` runs produce **equivalent flight records**:
-  events emitted *inside* task execution are captured symmetrically —
-  suppressed via :func:`suspended` around the in-process fast path, and
-  absent from the parent in pooled runs because workers disable their
-  (fork-inherited) monitor — while parent-side consumption events are
+  events emitted *inside* task execution are suppressed in both modes
+  (every task attempt runs under :func:`repro.obs.capture`, which
+  holds :func:`suspended`), while parent-side consumption events are
   identical in both modes because results are consumed in task order.
 * A failed attempt's events never double-count: progress events fire
   only when a result is *consumed* (post-retry), and failed
@@ -612,12 +611,7 @@ def get_live_monitor() -> Optional[LiveMonitor]:
 def set_live_monitor(
     monitor: Optional[LiveMonitor],
 ) -> Optional[LiveMonitor]:
-    """Install ``monitor`` as the ambient monitor; returns the previous.
-
-    Pool workers call this with ``None`` at initialisation: a forked
-    worker inherits the parent's monitor, and capturing events on both
-    sides would double-count them (and corrupt the parent's spool).
-    """
+    """Install ``monitor`` as the ambient monitor; returns the previous."""
     global _monitor
     previous = _monitor
     _monitor = monitor
@@ -628,12 +622,12 @@ def set_live_monitor(
 def suspended():
     """Suppress live capture inside the block (re-entrant).
 
-    The in-process execution path of :func:`repro.perf.parallel_map`
-    wraps each task's body in this, so events a task emits *internally*
-    (e.g. the per-chunk BER events of a sweep point's measurement) are
-    invisible to the monitor — exactly as they are in a pooled run,
-    where they happen inside a worker whose monitor is disabled.  That
-    symmetry is what makes serial and ``--jobs N`` flight records equal.
+    :func:`repro.obs.capture` wraps every task attempt of
+    :func:`repro.perf.parallel_map` in this, in a pool worker or
+    in-process, so events a task emits *internally* (e.g. the
+    per-chunk BER events of a sweep point's measurement) never reach
+    the monitor.  That is what makes serial and ``--jobs N`` flight
+    records equal.
     """
     global _suspend_depth
     _suspend_depth += 1

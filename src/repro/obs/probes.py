@@ -176,10 +176,6 @@ class ProbeRegistry:
         """Whether any tap has fired."""
         return bool(self._stages or self._evm or self._mask or self._budget)
 
-    def spawn(self) -> "ProbeRegistry":
-        """An empty registry with the same config (worker/attempt scratch)."""
-        return ProbeRegistry(self.config)
-
     # -- taps ------------------------------------------------------------
     def tap(
         self,

@@ -35,37 +35,37 @@ Two more make the flow survive its own failures:
     stage/task/attempt coordinate) so the error paths above are
     themselves tested and CI-gated (``repro qa --faults``).
 
-The CLI's global ``--jobs N`` flag installs an ambient default
-(:func:`set_default_jobs`); library calls with ``jobs=None`` pick it
-up, and nested parallel regions automatically degrade to serial inside
-workers, so the outermost fan-out wins.  ``--retries``,
-``--task-timeout`` and ``--resume`` install ambient resilience defaults
-the same way.
+Run settings live in one frozen value:
+
+:mod:`repro.perf.context`
+    :class:`RunContext` (jobs, batch size, memoize, retries, task
+    timeout, resume, fault plan, in-worker mark), installed for a block
+    with :func:`use_context`.  The CLI builds one from its flags;
+    library calls with ``jobs=None``, ``retries=None``... resolve
+    through it, pool workers receive it explicitly, and nested parallel
+    regions degrade to serial inside workers, so the outermost fan-out
+    wins.
 """
 
+from repro.perf.context import (
+    RunContext,
+    cpu_count,
+    current_context,
+    in_worker,
+    resolve_batch_size,
+    resolve_jobs,
+    resolve_retries,
+    resolve_task_timeout,
+    set_default_batch_size,
+    use_context,
+)
 from repro.perf.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    fault_plan,
-    get_fault_plan,
     parse_fault_spec,
-    set_fault_plan,
 )
-from repro.perf.pool import (
-    ParallelResult,
-    cpu_count,
-    get_default_batch_size,
-    get_default_jobs,
-    get_default_memoize,
-    in_worker,
-    parallel_map,
-    resolve_batch_size,
-    resolve_jobs,
-    set_default_batch_size,
-    set_default_jobs,
-    set_default_memoize,
-)
+from repro.perf.pool import ParallelResult, parallel_map
 from repro.perf.rare import (
     WeightedBerMeasurement,
     WeightedBerState,
@@ -83,14 +83,6 @@ from repro.perf.resilience import (
     TaskError,
     TaskFailedError,
     TaskTimeoutError,
-    get_default_resume,
-    get_default_retries,
-    get_default_task_timeout,
-    resolve_retries,
-    resolve_task_timeout,
-    set_default_resume,
-    set_default_retries,
-    set_default_task_timeout,
     task_timeout_guard,
 )
 from repro.perf.seeding import (
@@ -113,6 +105,7 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "ParallelResult",
+    "RunContext",
     "TaskError",
     "TaskFailedError",
     "TaskTimeoutError",
@@ -123,16 +116,9 @@ __all__ = [
     "auto_boost_db",
     "boost_for",
     "cpu_count",
+    "current_context",
     "dimension_capped_boost_db",
     "ebn0_for_ber",
-    "fault_plan",
-    "get_default_batch_size",
-    "get_default_jobs",
-    "get_default_memoize",
-    "get_default_resume",
-    "get_default_retries",
-    "get_default_task_timeout",
-    "get_fault_plan",
     "in_worker",
     "is_incompatibility",
     "measure_uncoded_ber",
@@ -148,13 +134,8 @@ __all__ = [
     "seed_entropy",
     "seed_fingerprint",
     "set_default_batch_size",
-    "set_default_jobs",
-    "set_default_memoize",
-    "set_default_resume",
-    "set_default_retries",
-    "set_default_task_timeout",
-    "set_fault_plan",
     "spawn",
     "stream",
     "task_timeout_guard",
+    "use_context",
 ]

@@ -27,26 +27,29 @@ analyses.  Its contract:
   exit path — clean, stopped, failed, aborted — in-flight futures are
   cancelled or drained and the region's metrics and ``parallel:{stage}``
   span are still emitted.
-* **Observable.**  Each task becomes a span on the active tracer, the
-  workers' own spans and metrics are re-absorbed into the parent
-  tracer/registry (in task order, so merged metrics are deterministic),
-  and every region — pooled or the in-process fast path — reports a
+* **Observable.**  Every task attempt — in a pool worker or
+  in-process — runs under one :func:`repro.obs.capture` (fresh metrics
+  registry, fresh tracer when tracing, spawned probe registry when
+  probing, live capture suspended), and the parent merges each
+  attempt's capture through one function on success only, in task
+  order: a failed attempt contributes its wall-clock and nothing else,
+  so serial, pooled and retried runs record the same metrics, spans
+  and probes.  Pool regions additionally wrap themselves in a
+  ``parallel:{stage}`` span with one ``{stage}:task`` span per attempt.
+  Every region — pooled or the in-process fast path — reports a
   ``parallel_efficiency`` gauge (``busy_time / (jobs * wall_time)``,
   1.0 in-process) labelled with both the *requested* and the
   *effective* job count, a ``parallel_tasks`` counter, and the
   resilience counters ``parallel_task_retries`` /
   ``parallel_task_failures`` / ``parallel_tasks_discarded`` /
   ``parallel_pool_broken``, so a ``repro profile`` comparison across
-  job counts lines up metric for metric.  Only true pool regions wrap
-  themselves in a ``parallel:{stage}`` span with per-task child spans;
-  the in-process path records the task function's own spans inline
-  instead.  A failed attempt's partial worker telemetry is *discarded*
-  (only its wall-clock is accounted), so the merged metrics of a
-  retried-then-clean run match a fault-free run exactly.
+  job counts lines up metric for metric.
 
-Nested parallelism is suppressed: a worker process resolves any
-``jobs`` request to 1, so the outermost parallel layer wins and inner
-layers run serially inside the workers.
+Run settings come from the installed :class:`repro.perf.RunContext`
+and cross the process boundary explicitly: the context is the pool
+initializer argument and part of every task payload.  Inside a worker
+it is marked ``in_worker``, so any ``jobs`` request resolves to 1 and
+the outermost parallel layer wins.
 """
 
 from __future__ import annotations
@@ -55,147 +58,20 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.perf import context as _context
 from repro.perf import faults as _faults
 from repro.perf import resilience as _resilience
+from repro.perf.context import RunContext
 from repro.perf.resilience import TaskError, TaskFailedError
 
 __all__ = [
     "ParallelResult",
-    "cpu_count",
-    "get_default_batch_size",
-    "get_default_jobs",
-    "get_default_memoize",
-    "in_worker",
     "parallel_map",
-    "resolve_batch_size",
-    "resolve_jobs",
-    "set_default_batch_size",
-    "set_default_jobs",
-    "set_default_memoize",
 ]
-
-#: Ambient job count installed by the CLI's ``--jobs`` flag (1 = serial).
-_default_jobs = 1
-
-#: Ambient PHY batch size installed by the CLI's ``--batch-size`` flag
-#: (1 = the batched chain run in groups of one).
-_default_batch_size = 1
-
-#: Ambient memoization default installed by the CLI's ``--memoize`` flag.
-_default_memoize = False
-
-#: Set in pool workers so nested fan-out degrades to serial.
-_in_worker = False
-
-
-def cpu_count() -> int:
-    """Usable CPU count (affinity-aware where the OS exposes it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def set_default_jobs(jobs: Optional[int]) -> int:
-    """Install the ambient job count (the CLI's ``--jobs``).
-
-    Args:
-        jobs: worker count; 0 or None means "auto" (one per CPU).
-
-    Returns:
-        The previous default.
-    """
-    global _default_jobs
-    previous = _default_jobs
-    _default_jobs = resolve_jobs(jobs if jobs is not None else 0)
-    return previous
-
-
-def get_default_jobs() -> int:
-    """The ambient job count (1 unless ``--jobs``/``set_default_jobs``)."""
-    return _default_jobs
-
-
-def set_default_batch_size(batch_size: Optional[int]) -> int:
-    """Install the ambient PHY batch size (the CLI's ``--batch-size``).
-
-    Args:
-        batch_size: packets per stacked PHY-chain evaluation; None or 1
-            runs the chain one packet per batch.
-
-    Returns:
-        The previous default.
-    """
-    global _default_batch_size
-    previous = _default_batch_size
-    _default_batch_size = resolve_batch_size(
-        batch_size if batch_size is not None else 1
-    )
-    return previous
-
-
-def get_default_batch_size() -> int:
-    """The ambient PHY batch size (1 unless ``--batch-size`` was given)."""
-    return _default_batch_size
-
-
-def resolve_batch_size(batch_size: Optional[int]) -> int:
-    """Turn a ``batch_size=`` argument into a concrete batch size.
-
-    ``None`` defers to the ambient default; explicit values must be
-    positive.  Batching is a pure throughput knob — results are
-    bit-identical at every batch size.
-    """
-    if batch_size is None:
-        return _default_batch_size
-    batch_size = int(batch_size)
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return batch_size
-
-
-def set_default_memoize(memoize: bool) -> bool:
-    """Install the ambient memoization default (the CLI's ``--memoize``).
-
-    Returns:
-        The previous default.
-    """
-    global _default_memoize
-    previous = _default_memoize
-    _default_memoize = bool(memoize)
-    return previous
-
-
-def get_default_memoize() -> bool:
-    """The ambient memoization default (False unless ``--memoize``)."""
-    return _default_memoize
-
-
-def in_worker() -> bool:
-    """Whether this process is a pool worker (nested fan-out disabled)."""
-    return _in_worker
-
-
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Turn a ``jobs=`` argument into a concrete worker count.
-
-    ``None`` defers to the ambient default, ``0`` means one worker per
-    CPU, and anything is clamped to 1 inside a pool worker so parallel
-    layers never nest.
-    """
-    if _in_worker:
-        return 1
-    if jobs is None:
-        return _default_jobs
-    jobs = int(jobs)
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        jobs = cpu_count()
-    return max(1, jobs)
 
 
 class ParallelResult(List[Any]):
@@ -237,66 +113,87 @@ class ParallelResult(List[Any]):
         self.pool_broken: bool = False
 
 
-def _init_worker(batch_size: int = 1) -> None:
-    """Pool initializer: mark the process so nested fan-out is serial.
-
-    A forked worker also inherits the parent's ambient live monitor;
-    it is disabled here so events emitted inside tasks stay invisible
-    to the parent-side flight recorder — the in-process fast path
-    suppresses them symmetrically via ``obs.live_suspended``, which is
-    what keeps serial and pooled flight records identical.  The ambient
-    PHY batch size is forwarded explicitly so spawn-based platforms
-    match fork-based ones.
-    """
-    global _in_worker, _default_batch_size
-    _in_worker = True
-    _default_batch_size = batch_size
-    obs.set_live_monitor(None)
+def _attempt_task(task: Any, attempt: int, reseed) -> Any:
+    """The payload of attempt ``attempt`` (attempt 0 is ``task`` itself)."""
+    if reseed is None or attempt == 0:
+        return task
+    return reseed(task, attempt)
 
 
 def _worker_call(payload):
-    """Run one task attempt in a worker under capturable instrumentation.
+    """Run one task attempt under a telemetry capture.
 
-    Returns ``(result, duration_s, pid, metrics_snapshot, span_dicts,
-    probe_snapshot)``; ``result`` is a :class:`TaskError` when the
-    attempt raised (fault injection, task exception, or timeout), in
-    which case the metrics snapshot, spans and probe state are from the
-    *failed* attempt and the parent discards them to keep merged
-    telemetry identical to a clean run.
+    The attempt body of every execution path: pool workers run it on
+    the payload the parent submitted, and the in-process path calls it
+    directly.  The payload is ``(fn, task, index, attempt, stage, ctx,
+    spec)`` — the :class:`RunContext` supplies the timeout and fault
+    plan, the :class:`obs.CaptureSpec` what to record.
+
+    Returns ``(result, duration_s, pid, captured)``; ``result`` is a
+    :class:`TaskError` when the attempt raised (fault injection, task
+    exception, or timeout).
     """
-    (fn, task, index, attempt, stage, want_spans, timeout_s, plan,
-     probe_cfg) = payload
-    registry = obs.MetricsRegistry()
-    tracer = obs.Tracer() if want_spans else None
-    probes = obs.ProbeRegistry(probe_cfg) if probe_cfg is not None else None
-    previous_registry = obs.set_registry(registry)
-    previous_tracer = obs.set_tracer(tracer) if want_spans else None
-    previous_probes = obs.set_probes(probes) if probes is not None else None
-    start = time.perf_counter()
-    try:
+    fn, task, index, attempt, stage, ctx, spec = payload
+    with obs.capture(spec) as captured:
+        start = time.perf_counter()
         try:
             # Faults run inside the guard so an injected delay is
             # subject to the same timeout as real task work.
-            with _resilience.task_timeout_guard(timeout_s):
+            with _resilience.task_timeout_guard(ctx.task_timeout):
                 _faults.apply_task_faults(
-                    plan, stage, index, attempt, _in_worker
+                    ctx.fault_plan, stage, index, attempt, ctx.in_worker
                 )
                 result = fn(task)
         except Exception as exc:  # structured capture, never raw
             result = _resilience.task_error_from(exc, index, attempt)
-    finally:
-        obs.set_registry(previous_registry)
-        if want_spans:
-            obs.set_tracer(previous_tracer)
-        if probes is not None:
-            obs.set_probes(previous_probes)
-    duration = time.perf_counter() - start
-    spans = (
-        [r.as_dict() for r in tracer.records] if tracer is not None else None
+        duration = time.perf_counter() - start
+    return result, duration, os.getpid(), captured
+
+
+def _settle(
+    out: "ParallelResult",
+    stage: str,
+    index: int,
+    outcome: Tuple[Any, float, int, "obs.Captured"],
+    retries: int,
+    pool_jobs: Optional[int] = None,
+) -> bool:
+    """Account one attempt in the parent; returns True to retry it.
+
+    The single rule of every path: the attempt's wall-clock always
+    counts toward ``busy_s``, and its captured telemetry merges into
+    the installed sinks only when it succeeded — so a retried-then-
+    clean run records exactly what a fault-free run does.  Pool
+    regions (``pool_jobs`` set) also record a ``{stage}:task`` span
+    per attempt and hang the attempt's own spans under it.
+    """
+    result, duration, pid, captured = outcome
+    out.busy_s += duration
+    failed = isinstance(result, TaskError)
+    parent_id = None
+    if pool_jobs is not None:
+        record = obs.get_tracer().record_span(
+            f"{stage}:task", duration,
+            index=index, worker_pid=pid, jobs=pool_jobs,
+            **(
+                {"error": result.exc_type, "attempt": result.attempt}
+                if failed else {}
+            ),
+        )
+        parent_id = record.span_id if record else None
+    if not failed:
+        obs.merge_captured(captured, parent_id)
+    obs.live_note_task(
+        stage, index, duration, pid, ok=not failed,
+        attempt=result.attempt if failed else 0,
     )
-    probe_snap = probes.snapshot() if probes is not None else None
-    return (result, duration, os.getpid(), registry.snapshot(), spans,
-            probe_snap)
+    if not failed:
+        return False
+    _record_task_failure(result, stage)
+    if result.attempt < retries:
+        out.retries += 1
+        return True
+    return False
 
 
 def _run_attempts_inprocess(
@@ -305,11 +202,10 @@ def _run_attempts_inprocess(
     index: int,
     stage: str,
     retries: int,
-    timeout_s: Optional[float],
     reseed: Optional[Callable[[Any, int], Any]],
-    plan,
+    ctx: RunContext,
+    spec: "obs.CaptureSpec",
     out: "ParallelResult",
-    first_attempt: int = 0,
 ) -> Any:
     """Run one task in-process with the full retry/timeout/fault stack.
 
@@ -317,55 +213,14 @@ def _run_attempts_inprocess(
     :class:`TaskError` once retries are exhausted.  Used by the serial
     fast path and by the broken-pool fallback.
     """
-    error: Optional[TaskError] = None
-    ambient_probes = obs.get_probes()
-    for attempt in range(first_attempt, retries + 1):
-        attempt_task = (
-            task if (reseed is None or attempt == 0) else reseed(task, attempt)
-        )
-        # Each attempt accumulates probe taps into its own scratch
-        # registry, merged into the ambient one only on success — the
-        # same snapshot/merge tree the pooled path builds, so serial,
-        # pooled and faulted-then-retried probe state is bit-identical,
-        # and a failed attempt's taps are discarded like its metrics.
-        scratch = ambient_probes.spawn() if ambient_probes.enabled else None
-        if scratch is not None:
-            obs.set_probes(scratch)
-        t0 = time.perf_counter()
-        try:
-            with _resilience.task_timeout_guard(timeout_s):
-                _faults.apply_task_faults(
-                    plan, stage, index, attempt, _in_worker
-                )
-                # Suspended so events the task emits internally stay
-                # out of the live monitor, matching pooled workers
-                # (whose monitor _init_worker disables).
-                with obs.live_suspended():
-                    result = fn(attempt_task)
-            duration = time.perf_counter() - t0
-            out.busy_s += duration
-            if scratch is not None:
-                ambient_probes.merge(scratch.snapshot())
-            obs.live_note_task(
-                stage, index, duration, os.getpid(), ok=True,
-                attempt=attempt,
-            )
-            return result
-        except Exception as exc:  # structured capture, never raw
-            duration = time.perf_counter() - t0
-            out.busy_s += duration
-            error = _resilience.task_error_from(exc, index, attempt)
-            _record_task_failure(error, stage)
-            obs.live_note_task(
-                stage, index, duration, os.getpid(), ok=False,
-                attempt=attempt,
-            )
-            if attempt < retries:
-                out.retries += 1
-        finally:
-            if scratch is not None:
-                obs.set_probes(ambient_probes)
-    return error
+    for attempt in range(retries + 1):
+        outcome = _worker_call((
+            fn, _attempt_task(task, attempt, reseed), index, attempt,
+            stage, ctx, spec,
+        ))
+        if not _settle(out, stage, index, outcome, retries):
+            break
+    return outcome[0]
 
 
 def _record_task_failure(error: TaskError, stage: str) -> None:
@@ -487,8 +342,8 @@ def parallel_map(
     Args:
         fn: a picklable callable (module-level function) of one task.
         tasks: the work items, each picklable.
-        jobs: worker processes; None defers to the ambient ``--jobs``
-            default, 0 means one per CPU, 1 runs in-process.
+        jobs: worker processes; None defers to the run context
+            (``--jobs``), 0 means one per CPU, 1 runs in-process.
         stage: label for spans/metrics (``"sweep"``, ``"ber"``, ...).
         stop: ``stop(index, result)`` evaluated strictly in task order
             after each result is consumed; True ends the region — no
@@ -499,13 +354,13 @@ def parallel_map(
         window: max in-flight tasks beyond the consumed front (default
             ``2 * jobs``); bounds wasted work after an early stop.
         retries: times a failed task is re-run before its error is
-            surfaced; None defers to the ambient ``--retries`` default
-            (0).  Retries re-run the *same* payload, so a retry that
-            succeeds is bit-identical to a clean run; callers that want
+            surfaced; None defers to the run context (``--retries``).
+            Retries re-run the *same* payload, so a retry that succeeds
+            is bit-identical to a clean run; callers that want
             per-attempt entropy pass ``reseed``.
         task_timeout: per-task wall-clock budget in seconds (a timeout
             becomes an ordinary task error, retried like any other);
-            None defers to the ambient ``--task-timeout`` default.
+            None defers to the run context (``--task-timeout``).
         reseed: ``reseed(task, attempt) -> task`` mapping a task to its
             attempt-``k`` payload (attempt 0 always uses the original);
             pair with :func:`repro.perf.seeding.attempt_seed` for
@@ -523,38 +378,42 @@ def parallel_map(
     """
     if on_error not in ("raise", "capture"):
         raise ValueError(f"unknown on_error mode {on_error!r}")
-    jobs = resolve_jobs(jobs)
-    retries = _resilience.resolve_retries(retries)
-    task_timeout = _resilience.resolve_task_timeout(task_timeout)
-    plan = _faults.get_fault_plan()
+    jobs = _context.resolve_jobs(jobs)
+    retries = _context.resolve_retries(retries)
+    installed = _context.current_context()
+    # The attempts of this region run with its own timeout; code nested
+    # inside a task still resolves against the installed context.
+    ctx = replace(
+        installed, task_timeout=_context.resolve_task_timeout(task_timeout)
+    )
+    plan = ctx.fault_plan
+    spec = obs.capture_spec()
     out = ParallelResult()
     out.jobs_requested = jobs
     out.jobs = jobs
     tasks = list(tasks)
-    tracer = obs.get_tracer()
     start = time.perf_counter()
+
+    def run_inprocess(first: int) -> None:
+        for i in range(first, len(tasks)):
+            _faults.check_abort(plan, stage, i)
+            result = _run_attempts_inprocess(
+                fn, tasks[i], i, stage, retries, reseed, ctx, spec, out,
+            )
+            if _finish_task(out, i, result, on_result, stop, on_error):
+                break
 
     if jobs == 1 or len(tasks) <= 1:
         out.jobs = 1
         obs.live_note_region(stage, len(tasks), 1)
         try:
-            for i, task in enumerate(tasks):
-                _faults.check_abort(plan, stage, i)
-                result = _run_attempts_inprocess(
-                    fn, task, i, stage, retries, task_timeout, reseed,
-                    plan, out,
-                )
-                if _finish_task(out, i, result, on_result, stop, on_error):
-                    break
+            run_inprocess(0)
         finally:
             out.wall_s = time.perf_counter() - start
             out.efficiency = 1.0
             _emit_region_metrics(out, stage)
         return out
 
-    ambient_probes = obs.get_probes()
-    probe_cfg = ambient_probes.config if ambient_probes.enabled else None
-    want_spans = bool(tracer.enabled)
     window = max(jobs, window if window is not None else 2 * jobs)
     obs.live_note_region(stage, len(tasks), jobs)
     try:
@@ -562,22 +421,22 @@ def parallel_map(
             with ProcessPoolExecutor(
                 max_workers=jobs,
                 mp_context=_pool_context(),
-                initializer=_init_worker,
-                initargs=(_default_batch_size,),
+                # Workers install the parent's context, marked
+                # in_worker, whatever the start method; every attempt
+                # then runs under a capture that suspends live events.
+                initializer=_context._install,
+                initargs=(replace(installed, in_worker=True),),
             ) as executor:
                 futures: Dict[int, Any] = {}
                 next_submit = 0
 
+                worker_ctx = replace(ctx, in_worker=True)
+
                 def submit(index, attempt):
-                    attempt_task = (
-                        tasks[index]
-                        if (reseed is None or attempt == 0)
-                        else reseed(tasks[index], attempt)
-                    )
                     futures[index] = executor.submit(
                         _worker_call,
-                        (fn, attempt_task, index, attempt, stage,
-                         want_spans, task_timeout, plan, probe_cfg),
+                        (fn, _attempt_task(tasks[index], attempt, reseed),
+                         index, attempt, stage, worker_ctx, spec),
                     )
 
                 def submit_up_to(limit):
@@ -594,45 +453,12 @@ def parallel_map(
                         if i not in futures:
                             break
                         _faults.check_abort(plan, stage, i)
-                        (result, duration, pid, metrics, spans,
-                         probe_snap) = futures.pop(i).result()
-                        out.busy_s += duration
-                        failed = isinstance(result, TaskError)
-                        if not failed:
-                            # Failed attempts contribute wall-clock
-                            # only: their partial telemetry is dropped
-                            # so merged metrics match a clean run.
-                            obs.get_registry().merge(metrics)
-                            if probe_snap is not None:
-                                ambient_probes.merge(probe_snap)
-                        record = tracer.record_span(
-                            f"{stage}:task", duration,
-                            index=i, worker_pid=pid, jobs=jobs,
-                            **(
-                                {"error": result.exc_type,
-                                 "attempt": result.attempt}
-                                if failed else {}
-                            ),
-                        )
-                        if spans and not failed:
-                            tracer.absorb(
-                                spans,
-                                parent_id=(
-                                    record.span_id if record else None
-                                ),
-                            )
-                        obs.live_note_task(
-                            stage, i, duration, pid, ok=not failed,
-                            attempt=result.attempt if failed else 0,
-                        )
-                        if failed:
-                            _record_task_failure(result, stage)
-                            if result.attempt < retries:
-                                out.retries += 1
-                                submit(i, result.attempt + 1)
-                                continue
+                        outcome = futures.pop(i).result()
+                        if _settle(out, stage, i, outcome, retries, jobs):
+                            submit(i, outcome[0].attempt + 1)
+                            continue
                         if _finish_task(
-                            out, i, result, on_result, stop, on_error
+                            out, i, outcome[0], on_result, stop, on_error
                         ):
                             break
                         i += 1
@@ -651,16 +477,7 @@ def parallel_map(
                     # the results identical to an unbroken run; attempt
                     # numbering restarts for tasks the pool lost.
                     out.pool_broken = True
-                    for i in range(broken_at, len(tasks)):
-                        _faults.check_abort(plan, stage, i)
-                        result = _run_attempts_inprocess(
-                            fn, tasks[i], i, stage, retries, task_timeout,
-                            reseed, plan, out,
-                        )
-                        if _finish_task(
-                            out, i, result, on_result, stop, on_error
-                        ):
-                            break
+                    run_inprocess(broken_at)
     finally:
         out.wall_s = time.perf_counter() - start
         out.efficiency = (

@@ -101,7 +101,9 @@ def random_frontend_config(rng: np.random.Generator) -> FrontendConfig:
         hpf_enabled=bool(rng.random() < 0.8),
         hpf_cutoff_hz=float(rng.choice([60e3, 120e3, 240e3])),
         hpf_order=int(rng.integers(1, 4)),
-        lpf_edge_hz=float(rng.choice([7e6, 8.6e6, 10e6])),
+        # Every grid edge sits below the 10 MHz Nyquist limit of the
+        # lowest drawn sample rate, so each config builds.
+        lpf_edge_hz=float(rng.choice([7e6, 8.6e6, 9.5e6])),
         lpf_order=int(rng.integers(3, 9)),
         lpf_ripple_db=float(rng.choice([0.1, 0.5, 1.0])),
         agc_target_dbm=level(-20, -6),

@@ -395,8 +395,8 @@ def run_resilience_checks(
     clean_bers = list(clean.bers)
 
     # 1. Injected failures on 2 of 4 points, one retry: bit-identical.
-    with perf.fault_plan(
-        perf.parse_fault_spec("sweep/fail:1@0,sweep/fail:3@0")
+    with perf.use_context(
+        fault_plan=perf.parse_fault_spec("sweep/fail:1@0,sweep/fail:3@0")
     ):
         retried = sweep.run(jobs=pool_jobs, retries=1)
     add(
@@ -407,7 +407,9 @@ def run_resilience_checks(
 
     # 2. A SIGKILLed worker breaks the pool; the region must finish
     # in-process with identical results.
-    with perf.fault_plan(perf.parse_fault_spec("sweep/kill:2@0")):
+    with perf.use_context(
+        fault_plan=perf.parse_fault_spec("sweep/kill:2@0")
+    ):
         survived = sweep.run(jobs=pool_jobs, retries=1)
     add(
         "broken_pool_fallback",
@@ -416,7 +418,9 @@ def run_resilience_checks(
     )
 
     # 3. A delayed task must trip the per-task timeout as a TaskError.
-    with perf.fault_plan(perf.parse_fault_spec("qa-timeout/delay:1=5")):
+    with perf.use_context(
+        fault_plan=perf.parse_fault_spec("qa-timeout/delay:1=5")
+    ):
         result = perf.parallel_map(
             _qa_identity_task, [0, 1, 2], jobs=pool_jobs,
             stage="qa-timeout", task_timeout=0.25, on_error="capture",
@@ -435,7 +439,9 @@ def run_resilience_checks(
         store = obs.RunStore(tmp)
         interrupted = False
         try:
-            with perf.fault_plan(perf.parse_fault_spec("sweep/abort:2")):
+            with perf.use_context(
+                fault_plan=perf.parse_fault_spec("sweep/abort:2")
+            ):
                 sweep.run(jobs=1, store=store, resume=True)
         except perf.InjectedFault:
             interrupted = True

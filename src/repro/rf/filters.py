@@ -108,6 +108,25 @@ def chebyshev_lowpass(
     )
 
 
+def check_filter_edge(
+    name: str, edge_hz: float, sample_rate: float, allow_zero: bool = False
+) -> None:
+    """Reject a configured filter edge outside ``(0, sample_rate/2)``.
+
+    Front-end configs call this from ``__post_init__``, so a bad edge
+    fails when the config is built rather than later inside a pool
+    task.  ``allow_zero`` widens the range to ``[0, sample_rate/2)``
+    for edges where 0 disables the filter.
+    """
+    nyquist = sample_rate / 2.0
+    above_low = edge_hz >= 0 if allow_zero else edge_hz > 0
+    if not (above_low and edge_hz < nyquist):
+        low = "[0" if allow_zero else "(0"
+        raise ValueError(
+            f"{name} {edge_hz:g} Hz outside {low}, {nyquist:g})"
+        )
+
+
 def butterworth_highpass(
     cutoff_hz: float, sample_rate: float, order: int = 2
 ) -> AnalogFilter:

@@ -41,6 +41,7 @@ from repro.rf.amplifier import AgcAmplifier, Amplifier
 from repro.rf.filters import (
     AnalogFilter,
     butterworth_highpass,
+    check_filter_edge,
     chebyshev_lowpass,
 )
 from repro.rf.mixer import Mixer, QuadratureMixer
@@ -138,6 +139,10 @@ class FrontendConfig:
                 "sample_rate_in must be an integer multiple of 20 MHz"
             )
         check_noise_figures(self)
+        check_filter_edge("lpf_edge_hz", self.lpf_edge_hz, self.sample_rate_in)
+        check_filter_edge(
+            "hpf_cutoff_hz", self.hpf_cutoff_hz, self.sample_rate_in
+        )
 
     @property
     def decimation(self) -> int:

@@ -25,7 +25,11 @@ import numpy as np
 from repro.dsp.params import CARRIER_FREQUENCY, SAMPLE_RATE
 from repro.rf.adc import Adc
 from repro.rf.amplifier import AgcAmplifier, Amplifier
-from repro.rf.filters import butterworth_highpass, chebyshev_lowpass
+from repro.rf.filters import (
+    butterworth_highpass,
+    check_filter_edge,
+    chebyshev_lowpass,
+)
 from repro.rf.mixer import QuadratureMixer
 from repro.rf.noise import check_noise_figures
 from repro.rf.oscillator import LocalOscillator
@@ -98,6 +102,11 @@ class ZeroIfConfig:
                 "sample_rate_in must be an integer multiple of 20 MHz"
             )
         check_noise_figures(self)
+        check_filter_edge("lpf_edge_hz", self.lpf_edge_hz, self.sample_rate_in)
+        check_filter_edge(
+            "dc_block_cutoff_hz", self.dc_block_cutoff_hz,
+            self.sample_rate_in, allow_zero=True,
+        )
 
     @property
     def decimation(self) -> int:

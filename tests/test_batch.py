@@ -131,21 +131,22 @@ class TestMeasureBerBatchSizes:
         cfg = TestbenchConfig(rate_mbps=24, snr_db=8.0, psdu_bytes=36)
         bench = WlanTestbench(cfg)
         ref = bench.measure_ber(n_packets=8, seed=3, batch_size=1)
-        previous = perf.set_default_batch_size(4)
-        try:
-            assert perf.get_default_batch_size() == 4
+        with perf.use_context(batch_size=4):
+            assert perf.current_context().batch_size == 4
             got = bench.measure_ber(n_packets=8, seed=3)
-        finally:
-            perf.set_default_batch_size(previous)
         assert _kpis(got) == _kpis(ref)
 
     def test_resolve_batch_size_validation(self):
-        assert perf.resolve_batch_size(None) == perf.get_default_batch_size()
+        assert (
+            perf.resolve_batch_size(None) == perf.current_context().batch_size
+        )
         assert perf.resolve_batch_size(5) == 5
         with pytest.raises(ValueError):
             perf.resolve_batch_size(0)
         with pytest.raises(ValueError):
             perf.set_default_batch_size(0)
+        with pytest.raises(ValueError):
+            perf.RunContext(batch_size=0)
 
     def test_parallel_jobs_match_serial(self):
         cfg = TestbenchConfig(rate_mbps=24, snr_db=8.0, psdu_bytes=36)

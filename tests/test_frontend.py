@@ -37,6 +37,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             FrontendConfig(sample_rate_in=50e6)
 
+    @pytest.mark.parametrize("field", ["lpf_edge_hz", "hpf_cutoff_hz"])
+    @pytest.mark.parametrize("edge", [0.0, -1e6, 40e6, 70e6])
+    def test_filter_edge_outside_band_rejected(self, field, edge):
+        with pytest.raises(ValueError, match=field):
+            FrontendConfig(**{field: edge})
+
     def test_library_configs(self):
         assert spw_library_config().lna_model == "cubic"
         assert spectre_library_config().lna_model == "rapp"

@@ -32,7 +32,7 @@ from repro.obs.live import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressEvent, printer
-from repro.perf import fault_plan, parse_fault_spec
+from repro.perf import parse_fault_spec
 
 
 # -- helpers ------------------------------------------------------------
@@ -299,12 +299,11 @@ class TestFlightDeterminism:
         _, clean = self._run_sweep(jobs=jobs)
         monitor = LiveMonitor(clock=FakeClock())
         previous = obs.set_live_monitor(monitor)
-        previous_retries = perf.set_default_retries(1)
+        plan = parse_fault_spec("sweep/fail:1@0")
         try:
-            with fault_plan(parse_fault_spec("sweep/fail:1@0")):
+            with perf.use_context(retries=1, fault_plan=plan):
                 result = _small_sweep().run(jobs=jobs)
         finally:
-            perf.set_default_retries(previous_retries)
             obs.set_live_monitor(previous)
         assert list(result.bers) == list(self._run_sweep(jobs=jobs)[0].bers)
         assert monitor.flight_records() == clean.flight_records()

@@ -138,11 +138,8 @@ class TestParallelMap:
             perf.resolve_jobs(-1)
 
     def test_ambient_default(self):
-        previous = perf.set_default_jobs(3)
-        try:
+        with perf.use_context(jobs=3):
             assert perf.resolve_jobs(None) == 3
-        finally:
-            perf.set_default_jobs(previous)
 
     def test_worker_metrics_merged_into_parent(self):
         registry = obs.MetricsRegistry()
@@ -408,6 +405,36 @@ class TestMemoization:
         }
         assert len(keys) == 2
 
+    def test_early_stop_key_tracks_batch_size(self, tmp_path):
+        # With max_bit_errors set the stop is checked per chunk, and a
+        # chunk is one batch: a batch-1 result must not answer a
+        # batch-16 run.
+        def sweep():
+            return ParameterSweep(
+                TestbenchConfig(rate_mbps=54, snr_db=12.0), "snr_db",
+                [12.0, 14.0], n_packets=16, seed=3, max_bit_errors=200,
+            )
+
+        store = RunStore(tmp_path / "runs")
+        with perf.use_context(batch_size=1):
+            sweep().run(store=store, memoize=True)
+        with perf.use_context(batch_size=16):
+            memoized = sweep().run(store=store, memoize=True)
+            fresh = sweep().run()
+        assert [p.measurement.packets for p in memoized.points] == [
+            p.measurement.packets for p in fresh.points
+        ]
+        assert np.array_equal(memoized.bers, fresh.bers)
+
+    def test_memo_key_ignores_batch_size_without_early_stop(self):
+        from repro.core.sweep import _point_memo_key
+
+        config = _fast_config()
+        child = perf.spawn(4, 1)[0]
+        assert _point_memo_key(
+            config, 3, child, 0, None, batch_size=16
+        ) == _point_memo_key(config, 3, child, 0, None)
+
     def test_different_seed_misses_cache(self, tmp_path):
         store = RunStore(tmp_path / "runs")
         self._sweep().run(store=store, memoize=True)
@@ -432,14 +459,13 @@ class TestMemoization:
         store = RunStore(tmp_path / "runs")
         writer = store.create("sweep", name="ambient", seed=4)
         previous_writer = obs.set_current_writer(writer)
-        previous_memoize = perf.set_default_memoize(True)
         try:
-            first = build().run_all(jobs=2)
-            assert len(store.list_runs(kind="point")) == 4
+            with perf.use_context(memoize=True):
+                first = build().run_all(jobs=2)
+                assert len(store.list_runs(kind="point")) == 4
 
-            second = build().run_all(jobs=2)
+                second = build().run_all(jobs=2)
         finally:
-            perf.set_default_memoize(previous_memoize)
             obs.set_current_writer(previous_writer)
         assert len(store.list_runs(kind="point")) == 4
         assert np.array_equal(first["a"].bers, second["a"].bers)
@@ -452,11 +478,8 @@ class TestMemoization:
 
     def test_ambient_memoize_default(self, tmp_path):
         store = RunStore(tmp_path / "runs")
-        previous = perf.set_default_memoize(True)
-        try:
+        with perf.use_context(memoize=True):
             self._sweep().run(store=store)
-        finally:
-            perf.set_default_memoize(previous)
         assert len(store.list_runs(kind="point")) == 2
 
 

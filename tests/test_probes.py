@@ -245,15 +245,11 @@ class TestDeterminism:
         def run(spec):
             registry = _registry("full")
             previous = obs.set_probes(registry)
-            previous_retries = perf.set_default_retries(2)
+            plan = perf.parse_fault_spec(spec) if spec else None
             try:
-                if spec:
-                    with perf.fault_plan(perf.parse_fault_spec(spec)):
-                        bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
-                else:
+                with perf.use_context(retries=2, fault_plan=plan):
                     bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
             finally:
-                perf.set_default_retries(previous_retries)
                 obs.set_probes(previous)
             return json.dumps(registry.export(), sort_keys=True)
 

@@ -29,9 +29,13 @@ from repro.perf import (
     TaskError,
     TaskFailedError,
     TaskTimeoutError,
-    fault_plan,
     parse_fault_spec,
 )
+
+
+def _faults(spec):
+    """Install a run context injecting the faults of ``spec``."""
+    return perf.use_context(fault_plan=parse_fault_spec(spec))
 
 
 # -- picklable task functions (module level for the process pool) ------
@@ -120,7 +124,7 @@ class TestTaskErrorCapture:
 class TestRetries:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_retry_then_succeed(self, jobs):
-        with fault_plan(parse_fault_spec("r/fail:1@0,r/fail:3@0")):
+        with _faults("r/fail:1@0,r/fail:3@0"):
             out = perf.parallel_map(
                 _square, range(5), jobs=jobs, stage="r", retries=1
             )
@@ -129,7 +133,7 @@ class TestRetries:
         assert not out.failures
 
     def test_retries_exhausted_raises(self):
-        with fault_plan(parse_fault_spec("r/fail:2")):  # every attempt
+        with _faults("r/fail:2"):  # every attempt
             with pytest.raises(TaskFailedError) as excinfo:
                 perf.parallel_map(
                     _square, range(4), jobs=1, stage="r", retries=2
@@ -139,7 +143,7 @@ class TestRetries:
     def test_retry_replays_same_payload_by_default(self):
         seeds = perf.spawn(123, 4)
         clean = perf.parallel_map(_draw, seeds, jobs=1, stage="d")
-        with fault_plan(parse_fault_spec("d/fail:2@0")):
+        with _faults("d/fail:2@0"):
             retried = perf.parallel_map(
                 _draw, seeds, jobs=1, stage="d", retries=1
             )
@@ -148,7 +152,7 @@ class TestRetries:
     def test_reseed_hook_gives_fresh_attempt_stream(self):
         seeds = perf.spawn(123, 3)
         clean = perf.parallel_map(_draw, seeds, jobs=1, stage="d")
-        with fault_plan(parse_fault_spec("d/fail:1@0")):
+        with _faults("d/fail:1@0"):
             reseeded = perf.parallel_map(
                 _draw, seeds, jobs=1, stage="d", retries=1,
                 reseed=perf.attempt_seed,
@@ -156,7 +160,7 @@ class TestRetries:
         assert reseeded[0] == clean[0] and reseeded[2] == clean[2]
         assert reseeded[1] != clean[1]
         # ... and the attempt stream itself is reproducible.
-        with fault_plan(parse_fault_spec("d/fail:1@0")):
+        with _faults("d/fail:1@0"):
             again = perf.parallel_map(
                 _draw, seeds, jobs=1, stage="d", retries=1,
                 reseed=perf.attempt_seed,
@@ -164,27 +168,21 @@ class TestRetries:
         assert list(again) == list(reseeded)
 
     def test_ambient_retries_default(self):
-        previous = perf.set_default_retries(1)
-        try:
-            with fault_plan(parse_fault_spec("a/fail:0@0")):
-                out = perf.parallel_map(
-                    _square, range(2), jobs=1, stage="a"
-                )
-        finally:
-            perf.set_default_retries(previous)
+        with perf.use_context(retries=1), _faults("a/fail:0@0"):
+            out = perf.parallel_map(_square, range(2), jobs=1, stage="a")
         assert list(out) == [0, 1]
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             perf.parallel_map(_square, range(2), retries=-1)
         with pytest.raises(ValueError):
-            perf.set_default_retries(-2)
+            perf.RunContext(retries=-2)
 
     def test_retry_telemetry(self):
         registry = obs.MetricsRegistry()
         previous = obs.set_registry(registry)
         try:
-            with fault_plan(parse_fault_spec("t/fail:1@0")):
+            with _faults("t/fail:1@0"):
                 perf.parallel_map(
                     _square, range(3), jobs=1, stage="t", retries=1
                 )
@@ -279,7 +277,7 @@ class TestTaskTimeout:
 # -- broken pool fallback ----------------------------------------------
 class TestBrokenPool:
     def test_sigkill_worker_degrades_to_serial(self):
-        with fault_plan(parse_fault_spec("bp/kill:2@0")):
+        with _faults("bp/kill:2@0"):
             out = perf.parallel_map(
                 _square, range(6), jobs=2, stage="bp", retries=1
             )
@@ -290,7 +288,7 @@ class TestBrokenPool:
         registry = obs.MetricsRegistry()
         previous = obs.set_registry(registry)
         try:
-            with fault_plan(parse_fault_spec("bp/kill:0@0")):
+            with _faults("bp/kill:0@0"):
                 perf.parallel_map(
                     _square, range(4), jobs=2, stage="bp", retries=1
                 )
@@ -303,7 +301,7 @@ class TestBrokenPool:
     def test_sweep_survives_killed_worker(self):
         sweep = _small_sweep()
         clean = sweep.run(jobs=1)
-        with fault_plan(parse_fault_spec("sweep/kill:1@0")):
+        with _faults("sweep/kill:1@0"):
             survived = sweep.run(jobs=2, retries=1)
         assert list(survived.bers) == list(clean.bers)
 
@@ -391,13 +389,13 @@ class TestFaultPlan:
 
     def test_stage_scoping(self):
         plan = parse_fault_spec("sweep/fail:0")
-        with fault_plan(plan):
+        with perf.use_context(fault_plan=plan):
             out = perf.parallel_map(_square, range(2), jobs=1, stage="ber")
         assert list(out) == [0, 1]  # wrong stage: fault never fires
 
     def test_kill_outside_worker_degrades_to_fail(self):
         # An in-process region must never SIGKILL the parent.
-        with fault_plan(parse_fault_spec("k/kill:0@0")):
+        with _faults("k/kill:0@0"):
             out = perf.parallel_map(
                 _square, range(2), jobs=1, stage="k", retries=1
             )
@@ -458,7 +456,7 @@ class TestSweepResume:
         sweep = _small_sweep()
         clean = sweep.run(jobs=1)
         with pytest.raises(InjectedFault):
-            with fault_plan(parse_fault_spec("sweep/abort:2")):
+            with _faults("sweep/abort:2"):
                 sweep.run(jobs=1, store=store, resume=True)
         # The completed prefix was checkpointed before the crash.
         assert len(store.list_runs(kind="point")) == 2
@@ -470,7 +468,7 @@ class TestSweepResume:
         store = RunStore(tmp_path / "runs")
         sweep = _small_sweep()
         with pytest.raises(InjectedFault):
-            with fault_plan(parse_fault_spec("sweep/abort:2")):
+            with _faults("sweep/abort:2"):
                 sweep.run(jobs=1, store=store, resume=True)
 
         events = []
@@ -490,7 +488,7 @@ class TestSweepResume:
         sweep.run(jobs=1, store=store)
         baseline_id = store.list_runs(kind="sweep")[0].run_id
         with pytest.raises(InjectedFault):
-            with fault_plan(parse_fault_spec("sweep/abort:2")):
+            with _faults("sweep/abort:2"):
                 sweep.run(jobs=1, store=store, resume=True)
         sweep.run(jobs=1, store=store, resume=True)
         # Content addressing may collapse the two runs into one id —
@@ -511,11 +509,8 @@ class TestSweepResume:
     def test_ambient_resume_default(self, tmp_path):
         store = RunStore(tmp_path / "runs")
         sweep = _small_sweep()
-        previous = perf.set_default_resume(True)
-        try:
+        with perf.use_context(resume=True):
             sweep.run(jobs=1, store=store)
-        finally:
-            perf.set_default_resume(previous)
         assert len(store.list_runs(kind="point")) == 4
 
 
@@ -527,7 +522,7 @@ class TestCampaignResume:
         campaign = VerificationCampaign(depth="quick", seed=3)
         clean = campaign.run(only=self.ONLY, jobs=1)
         with pytest.raises(InjectedFault):
-            with fault_plan(parse_fault_spec("campaign/abort:1")):
+            with _faults("campaign/abort:1"):
                 campaign.run(
                     only=self.ONLY, jobs=1, store=store, resume=True
                 )
@@ -565,7 +560,7 @@ class TestRetriedSweepKpis:
         sweep = _small_sweep()
         sweep.run(jobs=1, store=store)
         clean_id = store.list_runs(kind="sweep")[0].run_id
-        with fault_plan(parse_fault_spec("sweep/fail:1@0,sweep/fail:3@0")):
+        with _faults("sweep/fail:1@0,sweep/fail:3@0"):
             sweep.run(jobs=2, retries=1, store=store)
         faulted_id = store.list_runs(kind="sweep")[0].run_id
         clean = store.load_run(clean_id)
@@ -582,7 +577,7 @@ class TestRetriedSweepKpis:
 
         bench = WlanTestbench(_fast_config())
         clean = bench.measure_ber(n_packets=2, seed=11)
-        with fault_plan(parse_fault_spec("ber/fail:0@0")):
+        with _faults("ber/fail:0@0"):
             retried = bench.measure_ber(n_packets=2, seed=11, retries=1)
         assert retried.ber == clean.ber
         assert retried.bit_errors == clean.bit_errors

@@ -78,6 +78,20 @@ class TestParameterSweep:
         with pytest.raises(ValueError, match="psdu_bytes"):
             sweep.run()
 
+    def test_invalid_filter_edge_raises_before_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("parallel_map reached")
+
+        monkeypatch.setattr(perf, "parallel_map", no_pool)
+        sweep = ParameterSweep(
+            base_config=_dsp_config(frontend=FrontendConfig()),
+            parameter="frontend.lpf_edge_hz",
+            values=[8.6e6, 70e6],
+            n_packets=1,
+        )
+        with pytest.raises(ValueError, match="lpf_edge_hz"):
+            sweep.run()
+
     def test_progress_callback(self):
         lines = []
         ParameterSweep(

@@ -27,6 +27,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             ZeroIfConfig(sample_rate_in=50e6)
 
+    @pytest.mark.parametrize("edge", [0.0, -1e6, 40e6, 70e6])
+    def test_lpf_edge_outside_band_rejected(self, edge):
+        with pytest.raises(ValueError, match="lpf_edge_hz"):
+            ZeroIfConfig(lpf_edge_hz=edge)
+
+    def test_dc_block_cutoff_range(self):
+        assert ZeroIfConfig(dc_block_cutoff_hz=0.0).dc_block_cutoff_hz == 0.0
+        for cutoff in (-1e3, 40e6, 70e6):
+            with pytest.raises(ValueError, match="dc_block_cutoff_hz"):
+                ZeroIfConfig(dc_block_cutoff_hz=cutoff)
+
     def test_defaults_carry_zero_if_burdens(self):
         cfg = ZeroIfConfig()
         # The LO sits at the carrier: self-mixing DC is much larger than
