@@ -18,9 +18,13 @@ size, KPI-identity checked against serial), the filter-design cost
 benchmark (:mod:`benchmarks.bench_filter_design`: fig5 CPU ms and scipy
 designs per steady-state packet) and the Viterbi cost benchmark
 (:mod:`benchmarks.bench_viterbi`: µs per trellis step against row
-count, bit-identity checked against the reference decoder) and writes
-their combined document there.  It exits 1 if parallel results diverge
-from serial or a Viterbi decode diverges from the reference.
+count, bit-identity checked against the reference decoder) and the
+real-row IQ filter benchmark (:mod:`benchmarks.bench_iq_filter`: µs per
+resampling/zero-phase call at the workload shapes against scipy's
+complex call, bit-identity checked) and writes their combined document
+there.  It exits 1 if parallel results diverge from serial, a Viterbi
+decode diverges from the reference or an IQ filter output diverges from
+scipy's complex call.
 
 Usage::
 
@@ -175,6 +179,7 @@ def main(argv=None) -> int:
 
     if args.perf_out:
         from bench_filter_design import run_filter_design
+        from bench_iq_filter import run_iq_filter
         from bench_parallel_scaling import run_scaling, warn_if_single_core
         from bench_phy_throughput import run_phy_throughput
         from bench_probes import run_probe_overhead
@@ -189,6 +194,7 @@ def main(argv=None) -> int:
             packets=max(32, 16 * args.packets)
         )
         perf_doc["viterbi"] = run_viterbi()
+        perf_doc["iq_filter"] = run_iq_filter()
         perf_doc["single_core_recording"] = warn_if_single_core(perf_doc)
         perf_out = Path(args.perf_out)
         perf_out.write_text(
@@ -203,6 +209,10 @@ def main(argv=None) -> int:
             return 1
         if not perf_doc["viterbi"]["identical_to_reference"]:
             print("ERROR: Viterbi decode diverged from the reference",
+                  file=sys.stderr)
+            return 1
+        if not perf_doc["iq_filter"]["identical_to_scipy"]:
+            print("ERROR: an IQ filter diverged from scipy's complex call",
                   file=sys.stderr)
             return 1
     return 0

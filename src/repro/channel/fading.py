@@ -69,6 +69,10 @@ class FadingChannel:
             0 keeps the legacy block-static behavior bit for bit.
         n_sinusoids: sum-of-sinusoids order of the Jakes synthesis per
             tap (only used when ``max_doppler_hz > 0``).
+
+    Raises:
+        ValueError: when ``rms_delay_spread_s`` or ``max_doppler_hz`` is
+            negative or ``n_sinusoids`` is below 1.
     """
 
     rms_delay_spread_s: float = 50e-9
@@ -76,6 +80,20 @@ class FadingChannel:
     normalize: bool = True
     max_doppler_hz: float = 0.0
     n_sinusoids: int = 16
+
+    def __post_init__(self):
+        if self.rms_delay_spread_s < 0:
+            raise ValueError(
+                f"rms_delay_spread_s {self.rms_delay_spread_s!r} is negative"
+            )
+        if self.max_doppler_hz < 0:
+            raise ValueError(
+                f"max_doppler_hz {self.max_doppler_hz!r} is negative"
+            )
+        if self.n_sinusoids < 1:
+            raise ValueError(
+                f"n_sinusoids {self.n_sinusoids!r} must be >= 1"
+            )
 
     def realize(
         self, sample_rate: float, rng: np.random.Generator
@@ -116,8 +134,6 @@ class FadingChannel:
         """
         if self.max_doppler_hz <= 0:
             raise ValueError("realize_time_varying needs max_doppler_hz > 0")
-        if self.n_sinusoids < 1:
-            raise ValueError("n_sinusoids must be >= 1")
         powers = exponential_power_delay_profile(
             self.rms_delay_spread_s, sample_rate
         )

@@ -17,7 +17,6 @@ from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from repro import obs
 from repro.channel.awgn import AwgnChannel
@@ -26,7 +25,7 @@ from repro.core.metrics import (
     BerMeasurement,
     error_vector_magnitude,
 )
-from repro.dsp.designs import resample_window
+from repro.dsp.iqfilter import resample
 from repro.dsp.params import MAX_PSDU_BYTES, RATES
 from repro.dsp.receiver import Receiver, RxConfig, RxResult
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
@@ -145,15 +144,16 @@ class TestbenchConfig:
         input_level_dbm: wanted level at the RF input (only meaningful
             with a front end or thermal floor).
         guard_samples: leading/trailing zero padding at 20 MHz.
-        genie_rx: use genie timing/CFO (only sensible without a front
-            end, whose group delay requires real synchronization).
+        genie_rx: use genie timing/CFO; needs ``frontend=None``, since
+            the front end's group delay requires real synchronization.
 
     Raises:
         ValueError: when ``rate_mbps`` is not an 802.11a rate,
             ``psdu_bytes`` is outside ``1..MAX_PSDU_BYTES``,
             ``guard_samples`` is negative, both ``interference`` and
-            ``scenario`` are given, or the front end's envelope rate is
-            too narrow for a scenario emitter.
+            ``scenario`` are given, ``genie_rx`` is set with a front
+            end, or the front end's envelope rate is too narrow for a
+            scenario emitter.
     """
 
     rate_mbps: int = 24
@@ -184,6 +184,11 @@ class TestbenchConfig:
         if self.guard_samples < 0:
             raise ValueError(
                 f"guard_samples {self.guard_samples!r} is negative"
+            )
+        if self.genie_rx and self.frontend is not None:
+            raise ValueError(
+                "genie_rx needs frontend=None: the front end's group "
+                "delay shifts the packet start genie timing assumes"
             )
         if interference is not None:
             if self.scenario != Scenario():
@@ -359,10 +364,7 @@ class WlanTestbench:
             # (ideal anti-alias — the DSP-only configuration).
             with obs.span("block:decimator", samples=len(sig)):
                 sig = Signal(
-                    resample_poly(
-                        sig.samples, 1, self.oversample,
-                        window=resample_window(1, self.oversample),
-                    ),
+                    resample(sig.samples, 1, self.oversample),
                     sample_rate / self.oversample,
                 )
             if probes.enabled:

@@ -4,7 +4,9 @@ Filter design is a pure function of its parameters, and the simulation
 chain asks for the same transmit shaping filter, front-end channel and
 DC-blocking filters and polyphase resampling FIRs on every packet.
 These helpers design each parameter set once and share the result;
-the caches fill lazily, on first use, and are bounded.
+the caches fill lazily, on first use, and are bounded.  The
+zero-phase filter's initial state (:func:`iir_zi`) is part of the
+design too, keyed by the same arguments as its ``sos``.
 
 The shared arrays are read-only, so no holder can corrupt another's
 filter; scipy's filter functions only read them.
@@ -53,6 +55,27 @@ def iir_sos(
         raise ValueError(f"unknown IIR family {family!r}")
     sos.flags.writeable = False
     return sos
+
+
+@lru_cache(maxsize=64)
+def iir_zi(
+    family: str,
+    order: int,
+    critical: Critical,
+    btype: str,
+    ripple_db: float = 0.0,
+) -> np.ndarray:
+    """``sosfilt_zi`` of the :func:`iir_sos` design with these arguments.
+
+    The step-response initial state a zero-phase filter scales by each
+    row's first sample; ``sosfiltfilt`` redesigns it on every call.
+
+    Returns:
+        The read-only ``(n_sections, 2)`` state array.
+    """
+    zi = sps.sosfilt_zi(iir_sos(family, order, critical, btype, ripple_db))
+    zi.flags.writeable = False
+    return zi
 
 
 @lru_cache(maxsize=16)

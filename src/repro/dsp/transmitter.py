@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample_poly, sosfiltfilt
 
 from repro.dsp.convcode import ConvolutionalEncoder, puncture
-from repro.dsp.designs import iir_sos, resample_window
 from repro.dsp.interleaver import interleave
+from repro.dsp.iqfilter import resample, zero_phase
 from repro.dsp.modulation import Mapper
 from repro.dsp.ofdm import OfdmModulator
 from repro.dsp.params import (
@@ -167,10 +166,7 @@ class Transmitter:
             axis=1,
         )
         if self.config.oversample > 1:
-            ppdu = resample_poly(
-                ppdu, self.config.oversample, 1, axis=-1,
-                window=resample_window(self.config.oversample, 1),
-            )
+            ppdu = resample(ppdu, self.config.oversample, 1)
             if self.config.spectral_shaping:
                 ppdu = self._shape(ppdu)
         return ppdu, symbols
@@ -181,8 +177,7 @@ class Transmitter:
         edge = self.config.shaping_edge_hz
         if edge >= fs / 2.0:
             return samples
-        sos = iir_sos("butter", 7, edge / (fs / 2.0), "low")
-        return sosfiltfilt(sos, samples, axis=-1)
+        return zero_phase(samples, "butter", 7, edge / (fs / 2.0), "low")
 
 
 def _one_row(psdu: np.ndarray) -> np.ndarray:

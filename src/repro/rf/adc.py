@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import resample_poly
 
-from repro.dsp.designs import resample_window
+from repro.dsp.iqfilter import resample
 from repro.rf.signal import Signal, dbm_to_watts
 
 
@@ -64,10 +63,7 @@ class Adc:
         rate = signal.sample_rate
         if self.decimation > 1:
             if self.anti_alias:
-                x = resample_poly(
-                    x, 1, self.decimation,
-                    window=resample_window(1, self.decimation),
-                )
+                x = resample(x, 1, self.decimation)
             else:
                 x = x[:: self.decimation]
             rate = rate / self.decimation

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.params import CHANNEL_SPACING
+from repro.dsp.params import CHANNEL_SPACING, MAX_PSDU_BYTES, RATES
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 from repro.rf.signal import Signal
 
@@ -69,6 +69,14 @@ __all__ = [
 POWER_CONVENTIONS = ("active", "average")
 
 
+def _check_convention(convention: str) -> None:
+    if convention not in POWER_CONVENTIONS:
+        raise ValueError(
+            f"unknown power convention {convention!r}; "
+            f"choose from {', '.join(POWER_CONVENTIONS)}"
+        )
+
+
 def active_power_watts(samples: np.ndarray) -> float:
     """Mean on-air power: ``|x|**2`` averaged over *nonzero* samples."""
     samples = np.asarray(samples)
@@ -84,11 +92,7 @@ def reference_power_watts(samples: np.ndarray, convention: str) -> float:
     ``"active"`` averages over the wanted signal's nonzero (on-air)
     samples; ``"average"`` over the full window, guard zeros included.
     """
-    if convention not in POWER_CONVENTIONS:
-        raise ValueError(
-            f"unknown power convention {convention!r}; "
-            f"choose from {', '.join(POWER_CONVENTIONS)}"
-        )
+    _check_convention(convention)
     samples = np.asarray(samples)
     if convention == "active":
         return active_power_watts(samples)
@@ -111,11 +115,7 @@ def scale_to_excess(
     the duty-cycle bias of mixing them is exactly what this helper
     exists to prevent.
     """
-    if convention not in POWER_CONVENTIONS:
-        raise ValueError(
-            f"unknown power convention {convention!r}; "
-            f"choose from {', '.join(POWER_CONVENTIONS)}"
-        )
+    _check_convention(convention)
     samples = np.asarray(samples, dtype=complex)
     if convention == "active":
         current = active_power_watts(samples)
@@ -149,6 +149,12 @@ class WlanEmitter:
         power_convention: ``"active"`` (on-air burst powers, the
             802.11a blocking-test convention, default) or ``"average"``
             (time-averaged powers, idle gaps included).
+
+    Raises:
+        ValueError: when ``rate_mbps`` is not an 802.11a rate,
+            ``psdu_bytes`` is outside ``1..MAX_PSDU_BYTES``,
+            ``timing_jitter_samples`` is negative or
+            ``power_convention`` is unknown.
     """
 
     offset_channels: int = 1
@@ -160,6 +166,24 @@ class WlanEmitter:
 
     #: Config ``type`` tag of this emitter class.
     kind = "wlan"
+
+    def __post_init__(self):
+        if self.rate_mbps not in RATES:
+            raise ValueError(
+                f"rate_mbps {self.rate_mbps!r} is not an 802.11a rate "
+                f"({', '.join(map(str, RATES))})"
+            )
+        if not 1 <= self.psdu_bytes <= MAX_PSDU_BYTES:
+            raise ValueError(
+                f"psdu_bytes {self.psdu_bytes!r} outside "
+                f"1..{MAX_PSDU_BYTES}"
+            )
+        if self.timing_jitter_samples < 0:
+            raise ValueError(
+                f"timing_jitter_samples {self.timing_jitter_samples!r} "
+                "is negative"
+            )
+        _check_convention(self.power_convention)
 
     @property
     def label(self) -> str:
@@ -264,6 +288,10 @@ class BluetoothFhEmitter:
         symbol_rate_hz: FSK symbol rate.
         deviation_hz: FSK frequency deviation (Bluetooth GFSK ~157 kHz).
         power_convention: see the module docstring.
+
+    Raises:
+        ValueError: when ``slot_s`` or ``burst_s`` is not positive or
+            ``power_convention`` is unknown.
     """
 
     excess_db: float = 0.0
@@ -278,6 +306,11 @@ class BluetoothFhEmitter:
     power_convention: str = "active"
 
     kind = "bluetooth"
+
+    def __post_init__(self):
+        if self.slot_s <= 0 or self.burst_s <= 0:
+            raise ValueError("slot_s and burst_s must be positive")
+        _check_convention(self.power_convention)
 
     @property
     def label(self) -> str:
@@ -301,8 +334,6 @@ class BluetoothFhEmitter:
         rng: np.random.Generator,
     ) -> Signal:
         """Synthesize the hopping burst train over ``n_samples``."""
-        if self.slot_s <= 0 or self.burst_s <= 0:
-            raise ValueError("slot_s and burst_s must be positive")
         out = np.zeros(int(n_samples), dtype=complex)
         slot_len = max(int(round(self.slot_s * sample_rate)), 1)
         burst_len = max(
@@ -356,6 +387,10 @@ class MicrowaveOvenEmitter:
             sees on/off transitions).
         duty: fraction of each period the magnetron radiates.
         power_convention: see the module docstring.
+
+    Raises:
+        ValueError: when ``period_s`` is not positive, ``duty`` is
+            outside ``(0, 1]`` or ``power_convention`` is unknown.
     """
 
     excess_db: float = 0.0
@@ -366,6 +401,11 @@ class MicrowaveOvenEmitter:
     power_convention: str = "active"
 
     kind = "microwave"
+
+    def __post_init__(self):
+        if self.period_s <= 0 or not 0.0 < self.duty <= 1.0:
+            raise ValueError("period_s must be positive and duty in (0, 1]")
+        _check_convention(self.power_convention)
 
     @property
     def label(self) -> str:
@@ -385,8 +425,6 @@ class MicrowaveOvenEmitter:
         rng: np.random.Generator,
     ) -> Signal:
         """Synthesize the gated chirp over ``n_samples``."""
-        if self.period_s <= 0 or not 0.0 < self.duty <= 1.0:
-            raise ValueError("period_s must be positive and duty in (0, 1]")
         t = np.arange(int(n_samples)) / float(sample_rate)
         mains_phase = float(rng.uniform(0.0, self.period_s))
         position = (t + mains_phase) % self.period_s

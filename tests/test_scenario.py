@@ -322,9 +322,8 @@ class TestFadingEdgeCases:
         ch = FadingChannel()
         with pytest.raises(ValueError, match="max_doppler_hz"):
             ch.realize_time_varying(64, 20e6, np.random.default_rng(0))
-        bad = FadingChannel(max_doppler_hz=30.0, n_sinusoids=0)
         with pytest.raises(ValueError, match="n_sinusoids"):
-            bad.realize_time_varying(64, 20e6, np.random.default_rng(0))
+            FadingChannel(max_doppler_hz=30.0, n_sinusoids=0)
 
     def test_doppler_taps_have_unit_expected_power(self):
         ch = FadingChannel(rms_delay_spread_s=100e-9, max_doppler_hz=200.0)
@@ -384,6 +383,42 @@ class TestScenarioConfig:
     def test_unknown_fading_key_raises(self):
         with pytest.raises(ValueError, match="fading keys"):
             Scenario.from_config({"fading": {"doppler": 30.0}})
+
+    @pytest.mark.parametrize("emitter, match", [
+        ({"type": "wlan", "rate_mbps": 7}, "rate_mbps"),
+        ({"type": "wlan", "psdu_bytes": 0}, "psdu_bytes"),
+        ({"type": "wlan", "psdu_bytes": 4096}, "psdu_bytes"),
+        ({"type": "wlan", "timing_jitter_samples": -1}, "timing_jitter"),
+        ({"type": "wlan", "power_convention": "peak"}, "convention"),
+        ({"type": "bluetooth", "slot_s": 0.0}, "slot_s"),
+        ({"type": "bluetooth", "burst_s": -1e-6}, "burst_s"),
+        ({"type": "bluetooth", "power_convention": "peak"}, "convention"),
+        ({"type": "microwave", "period_s": 0.0}, "period_s"),
+        ({"type": "microwave", "duty": 0.0}, "duty"),
+        ({"type": "microwave", "duty": 1.5}, "duty"),
+        ({"type": "microwave", "power_convention": "peak"}, "convention"),
+    ])
+    def test_bad_emitter_raises_before_any_packet(
+        self, monkeypatch, emitter, match
+    ):
+        def no_packets(*args, **kwargs):
+            raise AssertionError("a packet ran before the config check")
+
+        monkeypatch.setattr(WlanTestbench, "run_packet_batch", no_packets)
+        with pytest.raises(ValueError, match=match):
+            scenario = Scenario.from_config({"emitters": [emitter]})
+            WlanTestbench(TestbenchConfig(scenario=scenario)).measure_ber(
+                n_packets=1, seed=0
+            )
+
+    @pytest.mark.parametrize("fading, match", [
+        ({"n_sinusoids": 0}, "n_sinusoids"),
+        ({"rms_delay_spread_s": -1e-9}, "rms_delay_spread_s"),
+        ({"max_doppler_hz": -1.0}, "max_doppler_hz"),
+    ])
+    def test_bad_fading_raises_when_built(self, fading, match):
+        with pytest.raises(ValueError, match=match):
+            Scenario.from_config({"fading": fading})
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError, match="preset"):

@@ -173,3 +173,9 @@ class TestConfigValidation:
     def test_limits_accepted(self):
         TestbenchConfig(rate_mbps=6, psdu_bytes=1, guard_samples=0)
         TestbenchConfig(rate_mbps=54, psdu_bytes=4095)
+
+    def test_genie_rx_with_frontend_rejected(self):
+        with pytest.raises(ValueError, match="genie_rx"):
+            TestbenchConfig(genie_rx=True, frontend=FrontendConfig())
+        TestbenchConfig(genie_rx=True)
+        TestbenchConfig(frontend=FrontendConfig())
