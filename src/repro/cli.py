@@ -31,7 +31,7 @@ derivation guarantees results bit-identical to a serial run.
 ``--memoize`` (with ``--store``) reuses stored sweep-point results
 whose exact measurement setup was already run.
 
-Resilience: ``--retries N`` re-runs a failed sweep point / packet chunk
+Resilience: ``--retries N`` re-runs a failed sweep point / packet batch
 / campaign check up to N times (same payload each attempt, so a retried
 run matches a clean one exactly), ``--task-timeout S`` bounds each task,
 and ``--resume`` (with ``--store``) checkpoints completed sweep points
@@ -838,11 +838,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="packets evaluated per stacked PHY-chain pass inside a "
-             "packet chunk (default 1, i.e. groups of one packet); "
-             "results are bit-identical at any batch size unless an "
-             "early-stop bit-error threshold is set, which is checked "
-             "at chunk boundaries (a chunk is one batch)",
+        help="packets evaluated per stacked PHY-chain pass "
+             "(default 1, i.e. one packet at a time); BER curves and "
+             "KPIs are bit-identical at any batch size, early stop "
+             "included (a larger batch only computes uncounted packets "
+             "after a stop); probe sums may differ in the last bits",
     )
     parser.add_argument(
         "--memoize",
@@ -856,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="re-run a failed sweep point / packet chunk / campaign "
+        help="re-run a failed sweep point / packet batch / campaign "
              "check up to N times before giving up (default 0); retries "
              "replay the same seeds, so a retried run is bit-identical "
              "to a clean one",

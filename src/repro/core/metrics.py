@@ -56,16 +56,25 @@ class BerCounter:
     def add_packet(self, ref_bits: np.ndarray, rx_bits: Optional[np.ndarray]):
         """Record one packet: ``rx_bits=None`` marks a lost packet."""
         ref_bits = np.asarray(ref_bits)
+        n_bits = ref_bits.size
+        if rx_bits is None or np.asarray(rx_bits).size != n_bits:
+            self.add_outcome(n_bits / 2.0, n_bits, lost=True)
+        else:
+            self.add_outcome(
+                int(np.count_nonzero(ref_bits != np.asarray(rx_bits))), n_bits
+            )
+
+    def add_outcome(self, bit_errors: float, n_bits: int, lost: bool = False):
+        """Record one scored packet: its error count and size.
+
+        A lost packet carries its half-bits guess as ``bit_errors``.
+        """
         self.packets += 1
-        self.bits_total += ref_bits.size
-        if rx_bits is None or np.asarray(rx_bits).size != ref_bits.size:
+        self.bits_total += n_bits
+        self.bit_errors += bit_errors
+        if lost:
             self.packets_lost += 1
-            self.packets_errored += 1
-            self.bit_errors += ref_bits.size / 2.0
-            return
-        errors = int(np.count_nonzero(ref_bits != np.asarray(rx_bits)))
-        self.bit_errors += errors
-        if errors:
+        if lost or bit_errors:
             self.packets_errored += 1
 
     @property

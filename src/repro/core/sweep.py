@@ -46,8 +46,7 @@ def _sweep_point_task(payload):
 
 def _point_memo_key(config, n_packets, seed, index, max_bit_errors,
                     estimator: str = "mc",
-                    boost_db: Optional[float] = None,
-                    batch_size: int = 1) -> str:
+                    boost_db: Optional[float] = None) -> str:
     """Content hash identifying one sweep point's full measurement setup.
 
     The seed enters through :func:`repro.perf.seed_fingerprint` (root
@@ -58,10 +57,10 @@ def _point_memo_key(config, n_packets, seed, index, max_bit_errors,
     Importance-sampled points key on their estimator and resolved
     proposal boost as well; plain Monte-Carlo points keep the legacy
     key payload, so caches written before the estimator existed stay
-    valid.  Likewise only early-stopped points (``max_bit_errors``
-    set) key on the resolved batch size: the stop is evaluated at
-    chunk boundaries and a chunk is one batch, so their estimate
-    depends on it.
+    valid.  Early-stopped points (``max_bit_errors`` set) carry the
+    per-packet stop marker: their estimate is the same at every batch
+    size, so runs at any batch size share entries, and no entry
+    written under the older per-batch stop rule is served.
     """
     payload = {
         "config": config,
@@ -75,7 +74,7 @@ def _point_memo_key(config, n_packets, seed, index, max_bit_errors,
         payload["estimator"] = estimator
         payload["boost_db"] = boost_db
     if max_bit_errors is not None:
-        payload["batch_size"] = batch_size
+        payload["stop"] = "packet"
     return obs.config_key(payload)
 
 
@@ -299,6 +298,9 @@ class ParameterSweep:
         values: the sweep grid.
         n_packets: packets per point.
         seed: base seed (each point derives its own stream).
+        max_bit_errors: per-point early-stop threshold (see
+            :meth:`WlanTestbench.measure_ber`): evaluated per packet, in
+            packet order, so the curve is the same at every batch size.
         estimator: per-point BER estimator — ``"mc"`` (classic
             Monte-Carlo), ``"is"`` (importance sampling on the AWGN
             noise at every point), or ``"auto"`` (per point: switch to
@@ -415,8 +417,10 @@ class ParameterSweep:
 
         Point ``i`` draws its packet streams from child ``i`` of the
         sweep seed's spawn tree, so each point's measurement depends
-        only on its coordinates; running with ``jobs>1`` is
-        bit-identical to serial.
+        only on its coordinates; the curve and KPIs are bit-identical
+        at every ``jobs`` and ``--batch-size`` setting, early stop
+        included (a larger batch only computes uncounted packets after
+        a stop).
 
         Args:
             progress: ``None``, a legacy string callback (e.g.
@@ -512,7 +516,6 @@ class ParameterSweep:
                         config, self.n_packets, children[i], i,
                         self.max_bit_errors,
                         estimator=plan[0], boost_db=plan[1],
-                        batch_size=perf.resolve_batch_size(None),
                     )
                     cached = _load_memoized_point(memo_store, key)
                     if cached is not None:

@@ -67,17 +67,15 @@ def _bench_for_config(config) -> "WlanTestbench":
 
 
 def _packet_chunk_task(payload):
-    """Run one chunk of packets (a :func:`repro.perf.parallel_map` task).
+    """Run one batch of packets (a :func:`repro.perf.parallel_map` task).
 
     Each packet draws its random stream from its own
     :class:`~numpy.random.SeedSequence` child, so the outcome depends
     only on the packet's coordinates — not on which process runs it or
-    how many packets preceded it.  The chunk runs through
-    :meth:`WlanTestbench.run_packet_batch` in groups of up to
-    ``batch_size`` packets; ``batch_size=1`` is the same engine run in
-    groups of one.
+    which batch it ran in.  The batch is one
+    :meth:`WlanTestbench.run_packet_batch` call.
 
-    A non-None ``noise_boost_db`` runs the chunk through the
+    A non-None ``noise_boost_db`` runs the batch through the
     importance-sampled channel; at 0 dB boost the outcomes — including
     the random streams — are bit-identical to the plain path and every
     log weight is exactly 0.
@@ -86,24 +84,36 @@ def _packet_chunk_task(payload):
         ``[(bit_errors, n_bits, lost, log_weight), ...]`` per packet,
         in order.
     """
-    config, seed_children, batch_size, noise_boost_db = payload
-    bench = _bench_for_config(config)
-    outcomes = []
-    for i in range(0, len(seed_children), batch_size):
-        group = seed_children[i : i + batch_size]
-        # The probe tag is the packet's seed coordinates — stable under
-        # any chunking/worker placement, so reservoir sampling keeps the
-        # same IQ points at every job count.
-        packet_outcomes = bench.run_packet_batch(
-            [np.random.default_rng(child) for child in group],
-            [f"{child.entropy}:{child.spawn_key}" for child in group],
-            noise_boost_db=noise_boost_db,
-        )
-        outcomes.extend(
-            (o.bit_errors, o.n_bits, o.lost, o.log_weight)
-            for o in packet_outcomes
-        )
-    return outcomes
+    config, seed_children, noise_boost_db = payload
+    # The probe tag is the packet's seed coordinates — stable under any
+    # batching/worker placement, so reservoir sampling keeps the same
+    # IQ points at every job count.
+    outcomes = _bench_for_config(config).run_packet_batch(
+        [np.random.default_rng(child) for child in seed_children],
+        [f"{child.entropy}:{child.spawn_key}" for child in seed_children],
+        noise_boost_db=noise_boost_db,
+    )
+    return [(o.bit_errors, o.n_bits, o.lost, o.log_weight) for o in outcomes]
+
+
+def _fold_outcomes(counter, state, outcomes, max_bit_errors=None) -> bool:
+    """Fold ``(bit_errors, n_bits, lost, log_weight)`` outcomes in order.
+
+    The one per-packet accumulation into the BER ``counter`` and the
+    optional IS ``state``.  Counting ends at the packet whose RAW error
+    count crosses ``max_bit_errors`` (later packets of its batch are
+    computed but not counted), so the estimate depends only on packet
+    order; returns True once crossed.  A stop on the weighted error
+    mass would couple the stopping time to the weights and bias the IS
+    estimator.
+    """
+    for bit_errors, n_bits, lost, log_weight in outcomes:
+        counter.add_outcome(bit_errors, n_bits, lost)
+        if state is not None:
+            state.add(bit_errors, n_bits, log_weight)
+        if max_bit_errors is not None and counter.bit_errors >= max_bit_errors:
+            return True
+    return False
 
 
 def oversample_factor(config) -> int:
@@ -494,7 +504,6 @@ class WlanTestbench:
         store=None,
         run_name: str = "ber",
         jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         batch_size: Optional[int] = None,
         retries: Optional[int] = None,
         task_timeout: Optional[float] = None,
@@ -504,53 +513,47 @@ class WlanTestbench:
         """Run ``n_packets`` packets and accumulate the BER.
 
         Packet ``j`` draws its random stream from child ``j`` of the
-        seed's :class:`~numpy.random.SeedSequence` spawn tree, so the
-        measurement is bit-identical at every ``jobs``/``chunk_size``
-        setting as long as ``max_bit_errors`` is unset; with an
-        early-stop threshold the stop decision is evaluated at chunk
-        boundaries, strictly in chunk order, in serial and parallel
-        alike — equal chunk sizes therefore still give bit-identical
-        results, and the default ``chunk_size=1`` reproduces the
-        classic per-packet stop exactly.
+        seed's :class:`~numpy.random.SeedSequence` spawn tree, and
+        outcomes are counted in packet order with a per-packet early
+        stop, so the measurement is bit-identical at every
+        ``jobs``/``batch_size`` setting, early stop included.
 
         Args:
             n_packets: packets to simulate.
             seed: base random seed (int or ``SeedSequence``).
             max_bit_errors: early-stop threshold — once this many bit
                 errors are counted the estimate is statistically settled
-                (classic BER-measurement shortcut).  Evaluated after
-                each completed chunk; workers drain in-flight chunks
-                but no new chunks are dispatched, and only completed,
-                consumed chunks enter the estimate.
+                (classic BER-measurement shortcut).  Evaluated per
+                packet, in packet order: counting ends at the packet
+                that crosses it, later packets of its batch are
+                computed but not counted, and no further batch is
+                dispatched (in-flight ones are drained unused).
             store: optional :class:`repro.obs.RunStore`; when given, the
                 measurement persists its own run (BER/PER/packet KPIs).
                 Unlike the sweep, a bare measurement never attaches to
                 the ambient CLI run — sweeps already aggregate it.
             run_name: store name for the measurement run.
-            jobs: worker processes for packet chunks; None defers to
+            jobs: worker processes for packet batches; None defers to
                 the ambient ``--jobs`` default, 1 runs in-process.
-            chunk_size: packets per dispatched chunk (early-stop
-                granularity); None uses the resolved batch size, so a
-                chunk is one batched chain evaluation.
-            batch_size: packets evaluated per stacked PHY-chain pass
-                inside a chunk; None defers to the ambient
+            batch_size: packets per dispatched task, evaluated in one
+                stacked PHY-chain pass; None defers to the ambient
                 ``--batch-size`` default (1 = the same engine run in
-                groups of one).  Results are bit-identical at every
-                batch size unless ``max_bit_errors`` is set: the stop
-                is evaluated at chunk boundaries, and ``chunk_size``
-                defaults to the batch size.
-            retries: per-chunk retry budget on task failure (each
-                attempt replays the chunk's own seed children, so a
+                groups of one).  A larger batch changes throughput and,
+                after an early stop, how many uncounted packets were
+                computed — never the estimate.  Probe float sums may
+                differ in the last bits across batch sizes.
+            retries: per-batch retry budget on task failure (each
+                attempt replays the batch's own seed children, so a
                 retried measurement is bit-identical to a clean one);
                 None defers to the ambient ``--retries`` default.
-            task_timeout: per-chunk wall-clock budget in seconds; None
+            task_timeout: per-batch wall-clock budget in seconds; None
                 defers to the ambient ``--task-timeout`` default.
             estimator: ``"mc"`` (plain Monte-Carlo, the classic path)
                 or ``"is"`` (importance sampling on the AWGN noise: the
                 channel draws from a boosted-variance proposal and the
                 measurement is the unbiased weighted estimate, a
                 :class:`repro.perf.rare.WeightedBerMeasurement`).  The
-                weighted state accumulates parent-side in chunk order,
+                weighted state accumulates parent-side in packet order,
                 so the IS path keeps the exact bit-identity guarantee
                 across ``jobs``/``batch_size`` settings.
             boost_db: noise-variance boost of the IS proposal in dB;
@@ -581,39 +584,27 @@ class WlanTestbench:
         elif boost_db is None:
             boost_db = _rare.auto_boost_db(self.config)
         batch = perf.resolve_batch_size(batch_size)
-        if chunk_size is None:
-            chunk_size = batch
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         counter = BerCounter()
         state = _rare.WeightedBerState() if weighted else None
         children = perf.spawn(seed, n_packets)
         chunks = [
-            (self.config, children[i:i + chunk_size], batch, boost_db)
-            for i in range(0, n_packets, chunk_size)
+            (self.config, children[i:i + batch], boost_db)
+            for i in range(0, n_packets, batch)
         ]
+        stopped = False
 
         emit = obs.as_listener(None)
 
         def accumulate(index, chunk_outcomes):
-            for bit_errors, n_bits, lost, log_weight in chunk_outcomes:
-                if lost:
-                    counter.add_packet(np.zeros(n_bits, dtype=np.uint8), None)
-                else:
-                    # Only the error count and sizes matter to the
-                    # counter; no need to rebuild the error pattern.
-                    counter.packets += 1
-                    counter.bits_total += n_bits
-                    counter.bit_errors += bit_errors
-                    if bit_errors:
-                        counter.packets_errored += 1
-                if state is not None:
-                    state.add(bit_errors, n_bits, log_weight)
-            # Runs parent-side in chunk order (serial and pooled alike),
+            nonlocal stopped
+            stopped = _fold_outcomes(
+                counter, state, chunk_outcomes, max_bit_errors
+            )
+            # Runs parent-side in batch order (serial and pooled alike),
             # so the live monitor sees the same cumulative convergence
             # trajectory at every jobs setting.  Inside a sweep point
             # these events are suppressed/worker-local; a direct BER
-            # measurement streams its Wilson-CI state chunk by chunk.
+            # measurement streams its Wilson-CI state batch by batch.
             data = {
                 "bit_errors": counter.bit_errors,
                 "bits_total": counter.bits_total,
@@ -644,26 +635,13 @@ class WlanTestbench:
                 data=data,
             ))
 
-        def crossed(index, chunk_outcomes):
-            # Early stop keys on the RAW (unweighted) error count in
-            # both estimators.  Stopping on the weighted error mass
-            # would couple the stopping time to the weights and bias
-            # the weighted estimator (a stopped sequential mean is only
-            # unbiased when the stopping rule is independent of the
-            # summand values); raw errors are plentiful at the boosted
-            # operating point, so the raw threshold stays meaningful.
-            return (
-                max_bit_errors is not None
-                and counter.bit_errors >= max_bit_errors
-            )
-
         perf.parallel_map(
             _packet_chunk_task,
             chunks,
             jobs=jobs,
             stage="ber",
             on_result=accumulate,
-            stop=crossed,
+            stop=lambda index, chunk_outcomes: stopped,
             retries=retries,
             task_timeout=task_timeout,
         )

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Tuple, Union
 
 import numpy as np
-from scipy import signal as sps
+import scipy.signal as sps
 
 #: A normalized critical frequency (fraction of Nyquist), or a band-pass
 #: ``(low, high)`` pair.

@@ -28,9 +28,7 @@ from math import prod
 
 import numpy as np
 
-# Not ``from scipy import signal``: this is the first scipy.signal import
-# of ``import repro``, and through scipy's lazy module ``__getattr__`` it
-# cost about 0.45 s more CPU (measured on the benchmark's set-up).
+# Not ``from scipy import signal``: run first, that lazy form cost 0.45 s.
 import scipy.signal as sps
 
 from repro.dsp.designs import Critical, iir_sos, iir_zi, resample_window

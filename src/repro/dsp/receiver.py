@@ -48,7 +48,7 @@ from repro.dsp.preamble import (
     decode_signal_field,  # unused here; benchmarks/e2e/layers.py patches it
     decode_signal_fields,
 )
-from repro.dsp.scrambler import Scrambler
+from repro.dsp.scrambler import Scrambler, check_seed
 from repro.dsp.synchronization import (
     apply_cfo,
     coarse_cfo_estimate,
@@ -96,6 +96,13 @@ class RxConfig:
     def __post_init__(self):
         if self.equalizer not in ("zf", "mmse"):
             raise ValueError(f"unknown equalizer {self.equalizer!r}")
+        if self.genie_rate_mbps is not None and (
+            self.genie_rate_mbps not in RATES
+        ):
+            raise ValueError(
+                f"unsupported genie_rate_mbps {self.genie_rate_mbps} Mbps"
+            )
+        check_seed(self.scrambler_seed)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from repro.dsp.params import (
     symbols_for_psdu,
 )
 from repro.dsp.preamble import encode_signal_field, preamble
-from repro.dsp.scrambler import Scrambler
+from repro.dsp.scrambler import Scrambler, check_seed
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,13 @@ class TxConfig:
     spectral_shaping: bool = True
     shaping_edge_hz: float = 9.5e6
 
+    def __post_init__(self):
+        if self.rate_mbps not in RATES:
+            raise ValueError(f"unsupported data rate {self.rate_mbps} Mbps")
+        if self.oversample < 1:
+            raise ValueError("oversample factor must be >= 1")
+        check_seed(self.scrambler_seed)
+
     @property
     def rate(self) -> RateParameters:
         """Rate parameter set for the configured data rate."""
@@ -73,10 +80,6 @@ class Transmitter:
     """
 
     def __init__(self, config: TxConfig = TxConfig()):
-        if config.rate_mbps not in RATES:
-            raise ValueError(f"unsupported data rate {config.rate_mbps} Mbps")
-        if config.oversample < 1:
-            raise ValueError("oversample factor must be >= 1")
         self.config = config
         self._encoder = ConvolutionalEncoder()
         self._mapper = Mapper(config.rate.modulation)

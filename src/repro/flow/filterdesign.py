@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import signal as sps
+import scipy.signal as sps
 
 from repro.rf.filters import AnalogFilter
 

@@ -29,12 +29,16 @@ computes **bounded-memory summaries** — nothing retains raw waveforms:
 
 Determinism contract: probes never consume the simulation's random
 streams and never touch the signal, so a probes-off run is bit-identical
-to a probes-on run; and every summary merges associatively *in task
-order* (:meth:`snapshot` / :meth:`merge` mirror
+to a probes-on run; and every summary merges *in task order*
+(:meth:`snapshot` / :meth:`merge` mirror
 :class:`repro.obs.metrics.MetricsRegistry`), with the parallel executor
 granting each task attempt its own scratch registry, so serial,
-``--jobs N``, and faulted-then-retried runs persist byte-identical probe
-artifacts.
+``--jobs N``, and faulted-then-retried runs at one batch size persist
+byte-identical probe artifacts.  Float sums (stage energy, PSD sums,
+EVM sums of squares) are not associative: a task adds its packets
+before the parent adds that task's sum, so a different batch size
+(task size) may change them in the last bits.  Batching inside one task
+changes nothing.
 
 The ambient registry (:func:`get_probes` / :func:`set_probes`) is
 disabled by default; a disabled registry costs one attribute check per
@@ -144,8 +148,10 @@ class ProbeRegistry:
 
     All state lives in JSON-friendly scalars and fixed-length arrays;
     :meth:`snapshot` is picklable (worker -> parent transfer) and
-    :meth:`merge` folds a snapshot in associatively, mirroring
-    :class:`~repro.obs.metrics.MetricsRegistry`.
+    :meth:`merge` adds a snapshot in, mirroring
+    :class:`~repro.obs.metrics.MetricsRegistry`.  Counts, peaks and
+    reservoirs merge exactly; float sums depend on how the taps were
+    grouped into snapshots (see the module docstring).
     """
 
     def __init__(self, config: ProbeConfig = ProbeConfig()):

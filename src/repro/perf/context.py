@@ -162,9 +162,8 @@ def resolve_batch_size(batch_size: Optional[int]) -> int:
     """Turn a ``batch_size=`` argument into a concrete batch size.
 
     ``None`` defers to the context; explicit values must be positive.
-    Batching changes throughput, not results — except that an
-    early-stop threshold is evaluated at chunk boundaries, and a
-    chunk defaults to one batch.
+    Batching changes throughput, not results: an early-stop threshold
+    is evaluated per packet, in packet order.
     """
     return _resolve("batch_size", batch_size)
 

@@ -520,6 +520,11 @@ def _uncoded_rare_chunk(payload) -> WeightedBerState:
     return state
 
 
+#: Packets per dispatched uncoded chunk.  Chunk states merge in chunk
+#: order, so this fixes the float summation grouping of every output.
+_UNCODED_CHUNK = 8
+
+
 def measure_uncoded_ber(
     modulation: str,
     ebn0_db: float,
@@ -530,7 +535,6 @@ def measure_uncoded_ber(
     target_ber: float = 2e-2,
     seed=0,
     jobs: Optional[int] = None,
-    chunk_size: int = 8,
 ) -> WeightedBerMeasurement:
     """Importance-sampled uncoded BER of the production mapper/demapper.
 
@@ -557,7 +561,6 @@ def measure_uncoded_ber(
         target_ber: proposal operating point for the automatic boost.
         seed: base random seed (int or ``SeedSequence``).
         jobs: worker processes; None defers to the ambient default.
-        chunk_size: packets per dispatched chunk.
 
     Returns:
         The finalized :class:`WeightedBerMeasurement`.
@@ -572,18 +575,16 @@ def measure_uncoded_ber(
         boost = boost_for(modulation, ebn0_db, target_ber=target_ber)
     else:
         boost = float(boost_db)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     children = perf.spawn(seed, n_packets)
     tasks = [
         (
             modulation,
             ebn0_db,
-            children[i : i + chunk_size],
+            children[i : i + _UNCODED_CHUNK],
             symbols_per_packet,
             boost,
         )
-        for i in range(0, n_packets, chunk_size)
+        for i in range(0, n_packets, _UNCODED_CHUNK)
     ]
     state = WeightedBerState()
 
@@ -646,7 +647,7 @@ def run_adaptive_sweep(
             share of half the budget, at least 1).
         block: packets granted per adaptive round (default: the warm-up
             size).
-        jobs: worker processes for packet chunks.
+        jobs: worker processes for packet batches.
         progress: progress listener/callback for per-round events.
         store: optional run store (defaults to the ambient writer).
         run_name: store name (default ``adaptive-<parameter>``).
@@ -662,7 +663,7 @@ def run_adaptive_sweep(
     from repro import obs, perf
     from repro.core.metrics import BerCounter
     from repro.core.sweep import SweepPoint, SweepResult
-    from repro.core.testbench import _packet_chunk_task
+    from repro.core.testbench import _fold_outcomes, _packet_chunk_task
     from repro.obs.progress import ProgressEvent
 
     n_points = len(sweep.values)
@@ -692,34 +693,18 @@ def run_adaptive_sweep(
             (
                 configs[i],
                 children[k : k + batch],
-                batch,
                 boost if estimator == "is" else None,
             )
             for k in range(0, n, batch)
         ]
-
-        def consume(index, chunk_outcomes):
-            counter = counters[i]
-            for bit_errors, n_bits, lost, log_w in chunk_outcomes:
-                if lost:
-                    counter.add_packet(
-                        np.zeros(int(n_bits), dtype=np.uint8), None
-                    )
-                else:
-                    counter.packets += 1
-                    counter.bits_total += n_bits
-                    counter.bit_errors += bit_errors
-                    if bit_errors:
-                        counter.packets_errored += 1
-                if states[i] is not None:
-                    states[i].add(bit_errors, n_bits, log_w)
-
         perf.parallel_map(
             _packet_chunk_task,
             chunks,
             jobs=jobs,
             stage="adaptive",
-            on_result=consume,
+            on_result=lambda index, outcomes: _fold_outcomes(
+                counters[i], states[i], outcomes
+            ),
         )
         cursors[i] = stop
 

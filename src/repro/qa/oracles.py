@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.special import erfc
 
-from repro.core.metrics import BerCounter, binomial_confidence
+from repro.core.metrics import binomial_confidence
 from repro.dsp.modulation import BITS_PER_SYMBOL, Demapper, Mapper
 
 #: Modulation of each 802.11a data rate (Mbit/s -> constellation).

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import signal as sps
+import scipy.signal as sps
 
 from repro.dsp.designs import iir_sos
 from repro.rf.signal import Signal

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import signal as sps
+import scipy.signal as sps
 
 from repro.rf.signal import Signal, watts_to_dbm
 

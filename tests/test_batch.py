@@ -21,6 +21,7 @@ from repro.core.testbench import (
     TestbenchConfig,
     WlanTestbench,
     _bench_for_config,
+    _packet_chunk_task,
 )
 from repro.dsp.ofdm import OfdmModulator
 from repro.dsp.params import RATES
@@ -156,44 +157,45 @@ class TestMeasureBerBatchSizes:
         assert _kpis(got) == _kpis(ref)
 
     def test_early_stop_matches_at_pinned_chunk_size(self):
-        """Early stop is a chunk-boundary decision: pin the chunk size and
-        the batched engine must stop at the same packet count."""
+        """Early stop is a per-packet decision: the batched engine must
+        stop at the same packet as batch 1, whatever the batch size."""
         cfg = TestbenchConfig(rate_mbps=54, snr_db=3.0, psdu_bytes=36)
         bench = WlanTestbench(cfg)
         ref = bench.measure_ber(
-            n_packets=24, seed=11, batch_size=1, chunk_size=4,
-            max_bit_errors=50,
+            n_packets=24, seed=11, batch_size=1, max_bit_errors=50,
         )
         got = bench.measure_ber(
-            n_packets=24, seed=11, batch_size=4, chunk_size=4,
-            max_bit_errors=50,
+            n_packets=24, seed=11, batch_size=4, max_bit_errors=50,
         )
         assert ref.packets + ref.packets_lost < 24  # stop actually fired
         assert _kpis(got) == _kpis(ref)
 
 
 class TestProbeSummaries:
-    """Probe exports are byte-identical at equal chunking."""
+    """Probe exports are byte-identical for any batching inside one task.
 
-    def _run(self, batch, chunk):
+    Each ``parallel_map`` task captures its own probe sums, which the
+    parent then adds, so different task sizes may regroup float sums
+    in the last bits; batching inside one capture must not.
+    """
+
+    def _run(self, batch):
         cfg = TestbenchConfig(rate_mbps=24, snr_db=15.0, psdu_bytes=36)
-        bench = WlanTestbench(cfg)
+        children = perf.spawn(21, 8)
         registry = ProbeRegistry(probe_preset("full"))
         previous = obs.set_probes(registry)
         try:
-            bench.measure_ber(
-                n_packets=8, seed=21, batch_size=batch, chunk_size=chunk
-            )
+            for i in range(0, len(children), batch):
+                _packet_chunk_task((cfg, children[i:i + batch], None))
         finally:
             obs.set_probes(previous)
         return registry.export()
 
     def test_batch_probe_export_identical(self):
-        serial = self._run(batch=1, chunk=4)
-        batched = self._run(batch=4, chunk=4)
-        assert json.dumps(serial, sort_keys=True) == json.dumps(
-            batched, sort_keys=True
-        )
+        serial = json.dumps(self._run(batch=1), sort_keys=True)
+        for batch in (4, 8):
+            batched = json.dumps(self._run(batch=batch), sort_keys=True)
+            assert batched == serial
 
 
 class TestRandomizedLoopback:
@@ -243,8 +245,8 @@ class TestBenchMemoization:
         _BENCH_CACHE.clear()
         cfg = TestbenchConfig(rate_mbps=24, snr_db=8.0, psdu_bytes=36)
         bench = WlanTestbench(cfg)
-        first = bench.measure_ber(n_packets=6, seed=4, chunk_size=2)
-        again = bench.measure_ber(n_packets=6, seed=4, chunk_size=2)
+        first = bench.measure_ber(n_packets=6, seed=4, batch_size=2)
+        again = bench.measure_ber(n_packets=6, seed=4, batch_size=2)
         assert _kpis(first) == _kpis(again)
 
     def test_cache_capacity_bounded(self):

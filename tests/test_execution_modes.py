@@ -221,3 +221,64 @@ class TestModeMatrix:
         assert counters == ref_counters
         if probes_on:
             assert probe_state == ref_probes
+
+
+# -- early stop: one answer at every batch size and job count ------------
+#: 54 Mb/s at 14 dB with a 200-bit-error stop that fires at packet 4,
+#: inside a batch of 16 (and at a batch boundary for batch 4).
+STOP_CONFIG = TestbenchConfig(rate_mbps=54, snr_db=14.0)
+
+#: estimator -> (measure_ber keywords, packets counted, BER).
+STOP_EXPECTED = {
+    "mc": ({}, 4, 0.095),
+    "is": ({"estimator": "is", "boost_db": 0.1}, 4, 0.057786775322377),
+}
+
+
+class TestEarlyStopMatrix:
+    @pytest.mark.parametrize("estimator", sorted(STOP_EXPECTED))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    def test_stop_is_per_packet(self, batch_size, jobs, estimator):
+        from repro.core.testbench import WlanTestbench
+
+        kwargs, packets, ber = STOP_EXPECTED[estimator]
+        m = WlanTestbench(STOP_CONFIG).measure_ber(
+            n_packets=64, seed=3, max_bit_errors=200,
+            batch_size=batch_size, jobs=jobs, **kwargs,
+        )
+        assert m.packets == packets
+        assert m.ber == ber
+        assert m.bit_errors >= 200
+
+    @staticmethod
+    def _sweep():
+        return ParameterSweep(
+            STOP_CONFIG, "snr_db", [12.0, 14.0], n_packets=16, seed=3,
+            max_bit_errors=200,
+        )
+
+    @staticmethod
+    def _points(result):
+        return [
+            (p.measurement.packets, p.measurement.ber) for p in result.points
+        ]
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    def test_sweep_stop_is_per_packet(self, batch_size):
+        with perf.use_context(batch_size=batch_size):
+            result = self._sweep().run()
+        assert self._points(result) == [(1, 0.4125), (2, 0.144375)]
+
+    @pytest.mark.parametrize("cached,fresh", [(16, 1), (1, 16)])
+    def test_memo_entry_answers_other_batch_size(
+        self, tmp_path, cached, fresh
+    ):
+        store = obs.RunStore(tmp_path / "runs")
+        with perf.use_context(batch_size=cached):
+            self._sweep().run(store=store, memoize=True)
+        with perf.use_context(batch_size=fresh):
+            memoized = self._sweep().run(store=store, memoize=True)
+            direct = self._sweep().run()
+        assert len(store.list_runs(kind="point")) == 2
+        assert self._points(memoized) == self._points(direct)

@@ -231,7 +231,7 @@ class TestBitIdentity:
         serial = bench.measure_ber(n_packets=6, seed=3)
         pooled = bench.measure_ber(n_packets=6, seed=3, jobs=2)
         chunked = bench.measure_ber(
-            n_packets=6, seed=3, jobs=2, chunk_size=3
+            n_packets=6, seed=3, jobs=2, batch_size=3
         )
         for other in (pooled, chunked):
             assert other.ber == serial.ber
@@ -300,8 +300,10 @@ class TestBitIdentity:
         assert np.array_equal(serial.output_dbm, pooled.output_dbm)
 
 
-# -- early stop under chunking -----------------------------------------
+# -- early stop under batching -----------------------------------------
 class TestChunkedEarlyStop:
+    """The stop is per packet, so a batch never overshoots it."""
+
     #: Low SNR: every packet is lost, so each contributes exactly
     #: ``n_bits / 2`` bit errors and the stop point is predictable.
     CONFIG = dict(rate_mbps=54, psdu_bytes=40, snr_db=-10.0)
@@ -318,29 +320,23 @@ class TestChunkedEarlyStop:
         serial = bench.measure_ber(n_packets=12, seed=0, max_bit_errors=200)
         chunked = bench.measure_ber(
             n_packets=12, seed=0, max_bit_errors=200,
-            jobs=jobs, chunk_size=4,
+            jobs=jobs, batch_size=4,
         )
-        assert chunked.packets >= serial.packets
-        assert chunked.packets - serial.packets < 4
-        # Only completed, consumed packets enter the estimate.
+        # Packets of the batch after the crossing one are not counted.
+        assert chunked == serial
+        assert chunked.packets == 2
         assert chunked.bits_total == chunked.packets * 320
-        assert chunked.ber == chunked.bit_errors / chunked.bits_total
 
     def test_equal_chunk_sizes_identical_across_jobs(self):
         bench = WlanTestbench(_fast_config(**self.CONFIG))
         one = bench.measure_ber(
-            n_packets=12, seed=0, max_bit_errors=200, jobs=1, chunk_size=4
+            n_packets=12, seed=0, max_bit_errors=200, jobs=1, batch_size=4
         )
         two = bench.measure_ber(
-            n_packets=12, seed=0, max_bit_errors=200, jobs=2, chunk_size=4
+            n_packets=12, seed=0, max_bit_errors=200, jobs=2, batch_size=4
         )
         assert one.packets == two.packets
         assert one.ber == two.ber
-
-    def test_chunk_size_validated(self):
-        bench = WlanTestbench(_fast_config())
-        with pytest.raises(ValueError):
-            bench.measure_ber(n_packets=2, chunk_size=0)
 
 
 # -- memoization -------------------------------------------------------
@@ -406,9 +402,9 @@ class TestMemoization:
         assert len(keys) == 2
 
     def test_early_stop_key_tracks_batch_size(self, tmp_path):
-        # With max_bit_errors set the stop is checked per chunk, and a
-        # chunk is one batch: a batch-1 result must not answer a
-        # batch-16 run.
+        # With max_bit_errors set the stop is checked per packet, so a
+        # batch-1 result answers a batch-16 run exactly and both share
+        # one store entry per point.
         def sweep():
             return ParameterSweep(
                 TestbenchConfig(rate_mbps=54, snr_db=12.0), "snr_db",
@@ -425,15 +421,24 @@ class TestMemoization:
             p.measurement.packets for p in fresh.points
         ]
         assert np.array_equal(memoized.bers, fresh.bers)
+        assert len(store.list_runs(kind="point")) == 2
 
     def test_memo_key_ignores_batch_size_without_early_stop(self):
+        import inspect
+
         from repro.core.sweep import _point_memo_key
 
         config = _fast_config()
         child = perf.spawn(4, 1)[0]
-        assert _point_memo_key(
-            config, 3, child, 0, None, batch_size=16
-        ) == _point_memo_key(config, 3, child, 0, None)
+        assert "batch_size" not in inspect.signature(
+            _point_memo_key
+        ).parameters
+        for max_bit_errors in (None, 200):
+            with perf.use_context(batch_size=1):
+                one = _point_memo_key(config, 3, child, 0, max_bit_errors)
+            with perf.use_context(batch_size=16):
+                sixteen = _point_memo_key(config, 3, child, 0, max_bit_errors)
+            assert one == sixteen
 
     def test_different_seed_misses_cache(self, tmp_path):
         store = RunStore(tmp_path / "runs")

@@ -213,12 +213,12 @@ def _bench(n_packets=6, **overrides):
 class TestDeterminism:
     def test_probes_off_bit_identical_to_probes_on(self):
         bench, n = _bench()
-        off = bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
+        off = bench.measure_ber(n_packets=n, seed=5, batch_size=2)
 
         registry = _registry("full")
         previous = obs.set_probes(registry)
         try:
-            on = bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
+            on = bench.measure_ber(n_packets=n, seed=5, batch_size=2)
         finally:
             obs.set_probes(previous)
         assert on.ber == off.ber
@@ -232,7 +232,7 @@ class TestDeterminism:
             registry = _registry("full")
             previous = obs.set_probes(registry)
             try:
-                bench.measure_ber(n_packets=n, seed=5, jobs=jobs, chunk_size=2)
+                bench.measure_ber(n_packets=n, seed=5, jobs=jobs, batch_size=2)
             finally:
                 obs.set_probes(previous)
             return json.dumps(registry.export(), sort_keys=True)
@@ -248,7 +248,7 @@ class TestDeterminism:
             plan = perf.parse_fault_spec(spec) if spec else None
             try:
                 with perf.use_context(retries=2, fault_plan=plan):
-                    bench.measure_ber(n_packets=n, seed=5, chunk_size=2)
+                    bench.measure_ber(n_packets=n, seed=5, batch_size=2)
             finally:
                 obs.set_probes(previous)
             return json.dumps(registry.export(), sort_keys=True)

@@ -286,12 +286,9 @@ class TestFullChainImportanceSampling:
         bench = WlanTestbench(_genie_config())
         boost = auto_boost_db(bench.config)
         kwargs = dict(n_packets=16, seed=2, estimator="is", boost_db=boost)
-        serial = bench.measure_ber(jobs=1, batch_size=1, chunk_size=1,
-                                   **kwargs)
-        pooled = bench.measure_ber(jobs=2, batch_size=1, chunk_size=1,
-                                   **kwargs)
-        batched = bench.measure_ber(jobs=1, batch_size=8, chunk_size=1,
-                                    **kwargs)
+        serial = bench.measure_ber(jobs=1, batch_size=1, **kwargs)
+        pooled = bench.measure_ber(jobs=2, batch_size=1, **kwargs)
+        batched = bench.measure_ber(jobs=1, batch_size=8, **kwargs)
         assert serial == pooled
         assert serial == batched
 
@@ -311,38 +308,45 @@ class TestFullChainImportanceSampling:
 
 
 class TestEarlyStopSemantics:
-    """``max_bit_errors`` keys on RAW counts; overshoot is chunk-bounded."""
+    """``max_bit_errors`` keys on RAW counts and stops per packet.
+
+    Counting ends at the packet whose raw error count crosses the
+    threshold; later packets of its batch are computed but not
+    counted, so the estimate never depends on the batch size.
+    """
 
     def test_mc_stop_is_prefix_of_full_run(self):
         # An early-stopped run must equal an uninterrupted run over
         # exactly the packets it consumed (spawn children are a pure
-        # function of their index).
+        # function of their index), and the last consumed packet is the
+        # one that crossed the threshold.
         bench = WlanTestbench(_genie_config(snr_db=-4.0))
         stopped = bench.measure_ber(
-            n_packets=20, seed=1, max_bit_errors=50, chunk_size=4
+            n_packets=20, seed=1, max_bit_errors=50, batch_size=4
         )
         assert stopped.packets < 20
-        assert stopped.packets % 4 == 0
         assert stopped.bit_errors >= 50
         prefix = bench.measure_ber(
-            n_packets=stopped.packets, seed=1, chunk_size=4
+            n_packets=stopped.packets, seed=1, batch_size=4
         )
         assert stopped == prefix
+        before = bench.measure_ber(n_packets=stopped.packets - 1, seed=1)
+        assert before.bit_errors < 50
 
     def test_chunk_overshoot_is_bounded(self):
-        # The stop decision happens at chunk boundaries: the crossing
-        # chunk is consumed whole, and nothing beyond it.
+        # No overshoot at all: a batch of 5 stops at the same packet as
+        # the classic per-packet stop, the first errored packet.
         bench = WlanTestbench(_genie_config(snr_db=-4.0))
         per_packet = bench.measure_ber(
-            n_packets=20, seed=1, max_bit_errors=1, chunk_size=1
+            n_packets=20, seed=1, max_bit_errors=1, batch_size=1
         )
-        chunked = bench.measure_ber(
-            n_packets=20, seed=1, max_bit_errors=1, chunk_size=5
+        batched = bench.measure_ber(
+            n_packets=20, seed=1, max_bit_errors=1, batch_size=5
         )
-        # chunk_size=1 reproduces the classic per-packet stop: the
-        # first errored packet is the last one consumed.
-        assert per_packet.packets <= chunked.packets
-        assert chunked.packets % 5 == 0
+        assert batched == per_packet
+        assert per_packet.bit_errors >= 1
+        before = bench.measure_ber(n_packets=per_packet.packets - 1, seed=1)
+        assert before.bit_errors == 0
 
     def test_is_stop_keys_on_raw_not_weighted_errors(self):
         # At a deep operating point with a boosted proposal the raw
@@ -352,7 +356,7 @@ class TestEarlyStopSemantics:
         bench = WlanTestbench(_genie_config(snr_db=0.0))
         m = bench.measure_ber(
             n_packets=40, seed=0, estimator="is", boost_db=6.0,
-            max_bit_errors=30, chunk_size=2,
+            max_bit_errors=30, batch_size=2,
         )
         assert m.packets < 40
         assert m.bit_errors >= 30  # raw errors under the proposal
@@ -365,12 +369,12 @@ class TestEarlyStopSemantics:
         bench = WlanTestbench(_genie_config(snr_db=-4.0))
         stopped = bench.measure_ber(
             n_packets=24, seed=4, estimator="is", boost_db=0.1,
-            max_bit_errors=40, chunk_size=3,
+            max_bit_errors=40, batch_size=3,
         )
         assert stopped.packets < 24
         prefix = bench.measure_ber(
             n_packets=stopped.packets, seed=4, estimator="is",
-            boost_db=0.1, chunk_size=3,
+            boost_db=0.1, batch_size=3,
         )
         assert stopped == prefix
 

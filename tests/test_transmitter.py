@@ -5,6 +5,7 @@ import pytest
 
 from repro.dsp.params import N_SYMBOL, RATES, symbols_for_psdu
 from repro.dsp.preamble import PREAMBLE_LENGTH
+from repro.dsp.receiver import RxConfig
 from repro.dsp.transmitter import Transmitter, TxConfig, random_psdu
 
 
@@ -101,6 +102,18 @@ class TestSpectralProperties:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("config, kwargs, match", [
+        (TxConfig, {"rate_mbps": 11}, "data rate"),
+        (TxConfig, {"oversample": 0}, "oversample"),
+        (TxConfig, {"scrambler_seed": 0}, "scrambler seed"),
+        (TxConfig, {"scrambler_seed": 128}, "scrambler seed"),
+        (RxConfig, {"scrambler_seed": 0}, "scrambler seed"),
+        (RxConfig, {"genie_rate_mbps": 11}, "genie_rate_mbps"),
+    ])
+    def test_bad_config_raises_when_built(self, config, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            config(**kwargs)
+
     def test_unsupported_rate(self):
         with pytest.raises(ValueError):
             Transmitter(TxConfig(rate_mbps=11))
