@@ -21,10 +21,13 @@ designs per steady-state packet) and the Viterbi cost benchmark
 count, bit-identity checked against the reference decoder) and the
 real-row IQ filter benchmark (:mod:`benchmarks.bench_iq_filter`: µs per
 resampling/zero-phase call at the workload shapes against scipy's
-complex call, bit-identity checked) and writes their combined document
-there.  It exits 1 if parallel results diverge from serial, a Viterbi
-decode diverges from the reference or an IQ filter output diverges from
-scipy's complex call.
+complex call, bit-identity checked) and the start-up benchmark
+(:mod:`benchmarks.bench_startup`: fresh-process CPU seconds, peak RSS
+and ``scipy.signal`` imports for a DSP-only packet, a fig5 RF packet and
+``repro --help``) and writes their combined document there.  It exits 1
+if parallel results diverge from serial, a Viterbi decode diverges from
+the reference, an IQ filter output diverges from scipy's complex call or
+a DSP-only process imports ``scipy.signal``.
 
 Usage::
 
@@ -183,6 +186,7 @@ def main(argv=None) -> int:
         from bench_parallel_scaling import run_scaling, warn_if_single_core
         from bench_phy_throughput import run_phy_throughput
         from bench_probes import run_probe_overhead
+        from bench_startup import run_startup
         from bench_viterbi import run_viterbi
 
         perf_doc = run_scaling(packets=args.packets)
@@ -195,6 +199,7 @@ def main(argv=None) -> int:
         )
         perf_doc["viterbi"] = run_viterbi()
         perf_doc["iq_filter"] = run_iq_filter()
+        perf_doc["startup"] = run_startup()
         perf_doc["single_core_recording"] = warn_if_single_core(perf_doc)
         perf_out = Path(args.perf_out)
         perf_out.write_text(
@@ -213,6 +218,10 @@ def main(argv=None) -> int:
             return 1
         if not perf_doc["iq_filter"]["identical_to_scipy"]:
             print("ERROR: an IQ filter diverged from scipy's complex call",
+                  file=sys.stderr)
+            return 1
+        if not perf_doc["startup"]["dsp_only_without_scipy_signal"]:
+            print("ERROR: a DSP-only process imported scipy.signal",
                   file=sys.stderr)
             return 1
     return 0

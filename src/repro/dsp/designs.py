@@ -19,7 +19,8 @@ from math import gcd
 from typing import Tuple, Union
 
 import numpy as np
-import scipy.signal as sps
+
+from repro.scipy_signal import sps
 
 #: A normalized critical frequency (fraction of Nyquist), or a band-pass
 #: ``(low, high)`` pair.
@@ -48,9 +49,9 @@ def iir_sos(
         The read-only ``sos`` array scipy designs for these arguments.
     """
     if family == "butter":
-        sos = sps.butter(order, critical, btype=btype, output="sos")
+        sos = sps().butter(order, critical, btype=btype, output="sos")
     elif family == "cheby1":
-        sos = sps.cheby1(order, ripple_db, critical, btype=btype, output="sos")
+        sos = sps().cheby1(order, ripple_db, critical, btype=btype, output="sos")
     else:
         raise ValueError(f"unknown IIR family {family!r}")
     sos.flags.writeable = False
@@ -73,7 +74,7 @@ def iir_zi(
     Returns:
         The read-only ``(n_sections, 2)`` state array.
     """
-    zi = sps.sosfilt_zi(iir_sos(family, order, critical, btype, ripple_db))
+    zi = sps().sosfilt_zi(iir_sos(family, order, critical, btype, ripple_db))
     zi.flags.writeable = False
     return zi
 
@@ -88,7 +89,7 @@ def resample_window(up: int, down: int) -> np.ndarray:
     """
     g = gcd(up, down)
     max_rate = max(up // g, down // g)
-    taps = sps.firwin(2 * 10 * max_rate + 1, 1.0 / max_rate,
-                      window=("kaiser", 5.0))
+    taps = sps().firwin(2 * 10 * max_rate + 1, 1.0 / max_rate,
+                        window=("kaiser", 5.0))
     taps.flags.writeable = False
     return taps

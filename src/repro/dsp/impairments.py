@@ -12,9 +12,9 @@ from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from repro.dsp.params import SAMPLE_RATE
+from repro.scipy_signal import sps
 
 
 def apply_frequency_offset(
@@ -50,7 +50,7 @@ def apply_sample_clock_offset(
     ratio = Fraction(1.0 / (1.0 + ppm * 1e-6)).limit_denominator(
         max_denominator
     )
-    return resample_poly(samples, ratio.numerator, ratio.denominator)
+    return sps().resample_poly(samples, ratio.numerator, ratio.denominator)
 
 
 def apply_iq_imbalance(

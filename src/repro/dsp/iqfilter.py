@@ -28,10 +28,8 @@ from math import prod
 
 import numpy as np
 
-# Not ``from scipy import signal``: run first, that lazy form cost 0.45 s.
-import scipy.signal as sps
-
 from repro.dsp.designs import Critical, iir_sos, iir_zi, resample_window
+from repro.scipy_signal import sps
 
 __all__ = ["resample", "zero_phase"]
 
@@ -77,7 +75,7 @@ def resample(x, up: int, down: int) -> np.ndarray:
     stack = _stack(x)
     rows = np.empty((2 * stack.shape[0], stack.shape[1]))
     _rows(stack, rows)
-    y = sps.resample_poly(
+    y = sps().resample_poly(
         rows, up, down, axis=-1, window=resample_window(up, down)
     )
     out = np.empty((stack.shape[0], y.shape[-1]), dtype=np.complex128)
@@ -144,7 +142,7 @@ def zero_phase(
             2 * mid[:, -1:], mid[:, -2 : -edge - 2 : -1],
             out=rows[:, edge + n :],
         )
-        y, _ = sps.sosfilt(sos, rows, zi=zi * rows[:, :1])
-        y, _ = sps.sosfilt(sos, y[:, ::-1], zi=zi * y[:, -1:])
+        y, _ = sps().sosfilt(sos, rows, zi=zi * rows[:, :1])
+        y, _ = sps().sosfilt(sos, y[:, ::-1], zi=zi * y[:, -1:])
         _join(y[:, ::-1][:, edge:-edge], out[start : start + block])
     return out.reshape(x.shape)

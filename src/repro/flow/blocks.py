@@ -25,6 +25,7 @@ from repro.flow.dataflow import Block, SimulationContext
 from repro.rf.frontend import DoubleConversionReceiver, FrontendConfig
 from repro.rf.signal import Signal, db_to_amplitude, dbm_to_watts
 from repro.scenario.emitters import WlanEmitter, active_power_watts
+from repro.scipy_signal import sps
 
 
 class TransmitterBlock(Block):
@@ -291,24 +292,19 @@ class IirFilterBlock(Block):
     outputs = ("out",)
 
     def __init__(self, sos: np.ndarray):
-        from scipy.signal import sosfilt_zi
-
         self.sos = np.asarray(sos)
-        self._zi_template = sosfilt_zi(self.sos)
         self._zi = None
 
     def reset(self):
         self._zi = None
 
     def work(self, inputs, ctx):
-        from scipy.signal import sosfilt
-
         x = inputs["in"]
         if self._zi is None:
             self._zi = np.zeros(
                 (self.sos.shape[0], 2), dtype=complex
             )
-        y, self._zi = sosfilt(self.sos, x, zi=self._zi)
+        y, self._zi = sps().sosfilt(self.sos, x, zi=self._zi)
         return {"out": y}
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.signal as sps
 
 from repro.rf.filters import AnalogFilter
+from repro.scipy_signal import sps
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,13 @@ def design_channel_filter(spec: FilterSpec) -> FilterDesignReport:
         measurements (worst passband ripple, stopband-edge attenuation).
     """
     nyq = spec.sample_rate / 2.0
-    order, wn = sps.cheb1ord(
+    order, wn = sps().cheb1ord(
         spec.passband_edge_hz / nyq,
         spec.stopband_edge_hz / nyq,
         spec.passband_ripple_db,
         spec.stopband_atten_db,
     )
-    sos = sps.cheby1(
+    sos = sps().cheby1(
         order, spec.passband_ripple_db, wn, btype="low", output="sos"
     )
     filt = AnalogFilter(
@@ -118,9 +118,9 @@ def _verify(filt: AnalogFilter, spec: FilterSpec) -> Tuple[float, float]:
     nyq = spec.sample_rate / 2.0
     pass_freqs = np.linspace(0.0, spec.passband_edge_hz, 256)
     w = pass_freqs / nyq * np.pi
-    _, h_pass = sps.sosfreqz(filt.sos, worN=w)
+    _, h_pass = sps().sosfreqz(filt.sos, worN=w)
     ripple = float(-20.0 * np.log10(np.abs(h_pass).min() + 1e-300))
     w_stop = np.array([spec.stopband_edge_hz / nyq * np.pi])
-    _, h_stop = sps.sosfreqz(filt.sos, worN=w_stop)
+    _, h_stop = sps().sosfreqz(filt.sos, worN=w_stop)
     atten = float(-20.0 * np.log10(abs(h_stop[0]) + 1e-300))
     return ripple, atten

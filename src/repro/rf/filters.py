@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.signal as sps
 
 from repro.dsp.designs import iir_sos
 from repro.rf.signal import Signal
+from repro.scipy_signal import sps
 
 
 class BandwidthLimitError(ValueError):
@@ -48,7 +48,7 @@ class AnalogFilter:
         self, signal: Signal, rng: Optional[np.random.Generator] = None
     ) -> Signal:
         """Filter the signal (zero initial state).  ``rng`` is unused."""
-        y = sps.sosfilt(self.sos, signal.samples)
+        y = sps().sosfilt(self.sos, signal.samples)
         return signal.with_samples(y)
 
     def frequency_response(
@@ -61,15 +61,15 @@ class AnalogFilter:
             ``[-fs/2, fs/2)``.
         """
         w = np.fft.fftshift(np.fft.fftfreq(n_points)) * 2 * np.pi
-        _, h = sps.sosfreqz(self.sos, worN=w)
+        _, h = sps().sosfreqz(self.sos, worN=w)
         freqs = w / (2 * np.pi) * sample_rate
         return freqs, h
 
     def group_delay_samples(self, at_frequency_hz: float, sample_rate: float) -> float:
         """Approximate group delay at a given frequency, in samples."""
-        b, a = sps.sos2tf(self.sos)
+        b, a = sps().sos2tf(self.sos)
         w = [2 * np.pi * at_frequency_hz / sample_rate]
-        _, gd = sps.group_delay((b, a), w=w)
+        _, gd = sps().group_delay((b, a), w=w)
         return float(gd[0])
 
 

@@ -10,6 +10,7 @@ simulation one: the instantaneous envelope power in watts is ``|x|**2``
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,19 @@ def db_to_linear(db: float) -> float:
 def db_to_amplitude(db: float) -> float:
     """Convert a power ratio in dB to a linear amplitude ratio."""
     return 10.0 ** (db / 20.0)
+
+
+@lru_cache(maxsize=8, typed=True)
+def _rotator(offset_hz: float, sample_rate: float, n: int) -> np.ndarray:
+    """Read-only ``exp(2j*pi*offset_hz*t)`` over ``n`` samples.
+
+    :meth:`Signal.shifted` asks for the same rotator on every emitter
+    window, so it is computed once per key.
+    """
+    time = np.arange(n) / sample_rate
+    rotator = np.exp(2j * np.pi * offset_hz * time)
+    rotator.flags.writeable = False
+    return rotator
 
 
 @dataclass
@@ -111,7 +125,7 @@ class Signal:
         The carrier reference is unchanged; the envelope spectrum moves.
         Used to place an adjacent channel 20 MHz from the wanted one.
         """
-        rotator = np.exp(2j * np.pi * offset_hz * self.time)
+        rotator = _rotator(offset_hz, self.sample_rate, self.samples.size)
         return self.with_samples(self.samples * rotator)
 
     def delayed(self, n_samples: int) -> "Signal":

@@ -173,6 +173,22 @@ class Scenario:
     emitters: List[Any] = field(default_factory=list)
     fading: Optional[FadingChannel] = None
 
+    def __post_init__(self):
+        emitter_types = tuple(EMITTER_TYPES.values())
+        for emitter in self.emitters:
+            if not isinstance(emitter, emitter_types):
+                raise ValueError(
+                    f"scenario emitter {emitter!r} is not one of "
+                    f"{', '.join(cls.__name__ for cls in emitter_types)}"
+                )
+        if self.fading is not None and not isinstance(
+            self.fading, FadingChannel
+        ):
+            raise ValueError(
+                f"scenario fading must be None or a FadingChannel, "
+                f"got {self.fading!r}"
+            )
+
     # -- declarative construction --------------------------------------
     @classmethod
     def from_config(cls, config: Dict[str, Any]) -> "Scenario":

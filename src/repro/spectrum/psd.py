@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-import scipy.signal as sps
 
 from repro.rf.signal import Signal, watts_to_dbm
+from repro.scipy_signal import sps
 
 
 @dataclass
@@ -70,7 +70,7 @@ def welch_psd(
     n = min(nperseg, signal.samples.size)
     if n < 8:
         raise ValueError("signal too short for PSD estimation")
-    freqs, psd = sps.welch(
+    freqs, psd = sps().welch(
         signal.samples,
         fs=signal.sample_rate,
         window=window,

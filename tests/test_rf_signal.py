@@ -5,6 +5,7 @@ import pytest
 
 from repro.rf.signal import (
     Signal,
+    _rotator,
     db_to_amplitude,
     db_to_linear,
     dbm_to_watts,
@@ -74,6 +75,26 @@ class TestSignal:
         rng = np.random.default_rng(1)
         s = Signal(rng.standard_normal(512) + 1j * rng.standard_normal(512), 80e6)
         assert s.shifted(7e6).power_watts() == pytest.approx(s.power_watts())
+
+    def test_memoized_shift_matches_fresh_rotator(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(6120) + 1j * rng.standard_normal(6120)
+        x[:4] = [0.0, -0.0, 0.0j, -0.0j]
+        s = Signal(x, 120e6)
+        for offset in (20e6, -40e6, 0.0, -0.0):
+            fresh = x * np.exp(2j * np.pi * offset * s.time)
+            for _ in range(2):  # first call fills the memo, second hits it
+                out = s.shifted(offset).samples
+                assert out.tobytes() == fresh.tobytes()
+
+    def test_memoized_rotator_is_read_only(self):
+        s = Signal(np.ones(64, complex), 80e6)
+        s.shifted(20e6)
+        rotator = _rotator(20e6, 80e6, 64)
+        assert not rotator.flags.writeable
+        with pytest.raises(ValueError):
+            rotator[0] = 0.0
+        assert _rotator.cache_info().maxsize is not None
 
     def test_delay(self):
         s = Signal(np.ones(10, complex), 20e6)

@@ -420,6 +420,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=match):
             Scenario.from_config({"fading": fading})
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"emitters": [object()]}, "emitter"),
+        ({"emitters": [WlanEmitter(), "wlan"]}, "emitter"),
+        ({"fading": "x"}, "fading"),
+        ({"fading": {"max_doppler_hz": 30.0}}, "fading"),
+        ({"emitters": [object()], "fading": "x"}, "emitter"),
+    ])
+    def test_bad_scenario_raises_when_built(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            Scenario(**kwargs)
+
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError, match="preset"):
             Scenario.preset("cafeteria")
